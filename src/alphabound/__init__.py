@@ -22,7 +22,7 @@ from .bounds import (
     nonedge_bound,
     welsh_powell_chromatic_bound,
 )
-from .errors import ParameterError, ParseError, ResourceLimitError
+from .errors import InternalError, ParameterError, ParseError, ResourceLimitError
 from .extremal import (
     FAMILY_TAGS,
     MIN_P,
@@ -147,6 +147,7 @@ __all__ = [
     "read_graph",
     "write_graph",
     # errors
+    "InternalError",
     "ParameterError",
     "ParseError",
     "ResourceLimitError",

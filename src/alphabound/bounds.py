@@ -9,7 +9,8 @@ Three bounds are computed, forming the chain
   q(q-1) <= n^2 - n - 2m.  Depends only on the order and size.
 * ``p1`` — degree-sequence bound: the largest 1-based index i with
   d_i <= n - i over the ascending degree sequence.  Equal to the
-  Welsh–Powell chromatic bound evaluated on the complement.
+  Welsh–Powell chromatic bound of the complement, which depends only on the
+  complement's degrees n - 1 - d, so it is computed without building it.
 * ``p2`` — neighbourhood-union bound: refines p1 by replacing plain degrees
   with the sizes of unions N(u) ∪ N(v) over non-adjacent pairs.
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+from .errors import InternalError
 from .graph import Graph
 
 __all__ = [
@@ -89,11 +91,12 @@ def degree_sequence_bound(g: Graph) -> int:
 
 def welsh_powell_chromatic_bound(g: Graph) -> int:
     """Chromatic upper bound max_i min(i, d_i + 1), degrees sorted descending."""
-    n = g.n
-    if n == 0:
-        return 0
-    desc = sorted(g.degrees(), reverse=True)
-    return max(min(i, desc[i - 1] + 1) for i in range(1, n + 1))
+    return _welsh_powell(g.degrees())
+
+
+def _welsh_powell(degrees: list[int]) -> int:
+    desc = sorted(degrees, reverse=True)
+    return max((min(i, d + 1) for i, d in enumerate(desc, 1)), default=0)
 
 
 def neighborhood_union_sequence(g: Graph, u: int) -> tuple[int, ...]:
@@ -143,14 +146,16 @@ def neighborhood_union_bound(g: Graph) -> int:
 
 
 def bounds_report(g: Graph, with_p2: bool = False) -> BoundsReport:
-    """Compute the bounds, assert the chain ordering, and return the report."""
+    """Compute the bounds, check the chain ordering, and return the report."""
     p = nonedge_bound(g)
     p1 = degree_sequence_bound(g)
-    wp = welsh_powell_chromatic_bound(g.complement())
+    wp = _welsh_powell([g.n - 1 - d for d in g.degrees()])
     p2 = neighborhood_union_bound(g) if with_p2 else None
     if g.n > 0:
-        assert 1 <= p1 <= p <= g.n, f"bound chain broken: p1={p1}, p={p}, n={g.n}"
-        assert wp == p1, f"complement Welsh–Powell {wp} != degree-sequence bound {p1}"
-        if p2 is not None:
-            assert 1 <= p2 <= p1, f"bound chain broken: p2={p2}, p1={p1}"
+        if not 1 <= p1 <= p <= g.n:
+            raise InternalError(f"bound chain broken: p1={p1}, p={p}, n={g.n}")
+        if wp != p1:
+            raise InternalError(f"complement Welsh–Powell {wp} != p1={p1}")
+        if p2 is not None and not 1 <= p2 <= p1:
+            raise InternalError(f"bound chain broken: p2={p2}, p1={p1}")
     return BoundsReport(p=p, p1=p1, p2=p2, wp_complement=wp)

@@ -12,9 +12,10 @@ Subcommands::
     extremal enumerate P        k=1 census of tight kernels
 
 Every command that produces a report prints one JSON object to stdout (see
-``RunReport``); errors go to stderr as JSON with exit code 2.  ``decide``
-exits 0 for YES and 1 for NO so scripts can branch on the answer.  Vertex
-ids in reports are the input file's own labels.
+``RunReport``); errors go to stderr as JSON with exit code 2, or 3 for an
+``InternalError`` (a result that failed its own re-check: a bug).
+``decide`` exits 0 for YES and 1 for NO so scripts can branch on the answer.
+Vertex ids in reports are the input file's own labels.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .bounds import bounds_report
-from .errors import ParameterError, ParseError, ResourceLimitError
+from .errors import InternalError, ParameterError, ParseError, ResourceLimitError
 from .extremal import (
     FAMILY_TAGS,
     classify_extremal,
@@ -375,13 +376,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         result, code, input_info, params = args.handler(args)
     except (ParameterError, ParseError, ResourceLimitError, ValueError,
-            OSError) as exc:
+            OSError, InternalError) as exc:
         json.dump(
             {"error": {"type": type(exc).__name__, "message": str(exc)}},
             sys.stderr,
         )
         sys.stderr.write("\n")
-        return 2
+        return 3 if isinstance(exc, InternalError) else 2
     if result is None:
         return code
     report = RunReport(

@@ -22,3 +22,7 @@ class ParseError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A configured cap (search nodes, instance size) was exceeded."""
+
+
+class InternalError(RuntimeError):
+    """A result failed its own re-check (a bug); unlike ``assert``, kept by -O."""

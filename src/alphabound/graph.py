@@ -7,6 +7,10 @@ row, a neighbourhood union is a bitwise or — and they are hashable, which
 keeps graphs safely immutable.  Anything that "modifies" a graph returns a
 new one, together with an id mapping when vertices are renumbered.
 
+Rows are validated once, where they enter: ``Graph(rows)`` checks them all
+and ``from_edges`` checks each edge.  Derived graphs and generators are
+symmetric by construction and are built unchecked.
+
 ``n = 0`` and ``n = 1`` are legal everywhere.
 """
 
@@ -32,9 +36,6 @@ __all__ = [
     "complement_edge_count",
 ]
 
-# Above this order the constructor's symmetry check switches from a pure
-# Python bit walk to a blockwise numpy transpose comparison.
-_PUREPY_SYMMETRY_MAX_N = 512
 _SYMMETRY_BLOCK = 4096
 _GNP_TILE = 1024  # must stay a multiple of 8 so tile columns are byte aligned
 
@@ -50,9 +51,9 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Simple undirected graph over vertices ``0..n-1`` with bit-row adjacency.
 
-    Construction validates the representation: rows must be symmetric,
-    loop-free and confined to ``n`` bits.  ``m`` is half the total popcount.
-    Instances are immutable by convention; all fields are read-only data.
+    ``Graph(rows)`` validates the rows: symmetric, loop-free and confined
+    to ``n`` bits.  ``m`` is half the total popcount.  Instances are
+    immutable by convention; all fields are read-only data.
     """
 
     __slots__ = ("n", "m", "adjacency")
@@ -75,6 +76,15 @@ class Graph:
         self.adjacency = rows
 
     @classmethod
+    def _unchecked(cls, adjacency: Iterable[int]) -> "Graph":
+        """Wrap rows that are symmetric and loop-free by construction."""
+        g = cls.__new__(cls)
+        g.adjacency = tuple(adjacency)
+        g.n = len(g.adjacency)
+        g.m = sum(row.bit_count() for row in g.adjacency) // 2
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph on ``n`` vertices from (u, v) pairs; duplicates collapse."""
         if n < 0:
@@ -87,7 +97,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(rows)
+        return cls._unchecked(rows)
 
     # -- basic queries -------------------------------------------------
 
@@ -126,8 +136,8 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        return Graph(
-            [full & ~row & ~(1 << v) for v, row in enumerate(self.adjacency)]
+        return Graph._unchecked(
+            full & ~row & ~(1 << v) for v, row in enumerate(self.adjacency)
         )
 
     def induced_subgraph(self, keep: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
@@ -149,7 +159,7 @@ class Graph:
                 if (old >> v) & 1:
                     row |= 1 << j
             rows.append(row)
-        return Graph(rows), tuple(kept)
+        return Graph._unchecked(rows), tuple(kept)
 
     # -- set predicates ------------------------------------------------
 
@@ -190,16 +200,6 @@ class Graph:
 
 
 def _check_symmetry(rows: tuple[int, ...], n: int) -> None:
-    if n <= _PUREPY_SYMMETRY_MAX_N:
-        for u, row in enumerate(rows):
-            r = row
-            while r:
-                low = r & -r
-                v = low.bit_length() - 1
-                if not (rows[v] >> u) & 1:
-                    raise ValueError(f"adjacency not symmetric at ({u}, {v})")
-                r ^= low
-        return
     # Blockwise packed-transpose comparison; avoids holding the full n x n
     # boolean matrix for large graphs.
     nbytes = (n + 7) // 8
@@ -226,14 +226,14 @@ def empty_graph(n: int) -> Graph:
     """n vertices, no edges."""
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    return Graph([0] * n)
+    return Graph._unchecked([0] * n)
 
 
 def complete_graph(n: int) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     full = (1 << n) - 1
-    return Graph([full & ~(1 << v) for v in range(n)])
+    return Graph._unchecked(full & ~(1 << v) for v in range(n))
 
 
 def cycle_graph(n: int) -> Graph:
@@ -254,13 +254,13 @@ def join(a: Graph, b: Graph) -> Graph:
     bmask = ((1 << b.n) - 1) << a.n
     rows = [row | bmask for row in a.adjacency]
     rows += [(row << a.n) | amask for row in b.adjacency]
-    return Graph(rows)
+    return Graph._unchecked(rows)
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     rows = list(a.adjacency)
     rows += [row << a.n for row in b.adjacency]
-    return Graph(rows)
+    return Graph._unchecked(rows)
 
 
 def h_np(n: int, p: int) -> Graph:
@@ -286,8 +286,6 @@ def gnp(n: int, prob: float, seed: int) -> Graph:
         raise ValueError("vertex count must be non-negative")
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {prob}")
-    if n == 0:
-        return Graph(())
     rng = np.random.default_rng(seed)
     nbytes = (n + 7) // 8
     packed = np.zeros((n, nbytes), dtype=np.uint8)
@@ -304,7 +302,7 @@ def gnp(n: int, prob: float, seed: int) -> Graph:
                 _pack_tile(packed, block, a, c)
                 _pack_tile(packed, block.T, c, a)
     rows = [int.from_bytes(packed[i].tobytes(), "little") for i in range(n)]
-    return Graph(rows)
+    return Graph._unchecked(rows)
 
 
 def _pack_tile(packed: np.ndarray, bits: np.ndarray, r0: int, c0: int) -> None:

@@ -18,17 +18,17 @@ re-checked against the input graph before the decision is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .bounds import (
     BoundsReport,
+    bounds_report,
     degree_sequence_bound,
     neighborhood_union_bound,
     nonedge_bound,
-    welsh_powell_chromatic_bound,
 )
-from .errors import ParameterError
+from .errors import InternalError, ParameterError
 from .kernel import KernelResult, kernelize
 from .vertex_cover import DEFAULT_NODE_BUDGET, vertex_cover_decide
 
@@ -77,16 +77,13 @@ def decide(
     """
     if k < 0:
         raise ParameterError(f"k must be non-negative, got {k}")
-    p = nonedge_bound(g)
+    report = bounds_report(g)
+    p, p1 = report.p, report.p1
     if p < 2 * k + 1:
         raise ParameterError(
             f"decide needs p >= 2k + 1, got p={p}, k={k} (n={g.n}, m={g.m})"
         )
     target = p - k
-    p1 = degree_sequence_bound(g)
-    wp = welsh_powell_chromatic_bound(g.complement())
-    assert wp == p1, f"complement Welsh–Powell {wp} != degree-sequence bound {p1}"
-    p2: Optional[int] = None
 
     if not skip_bound_steps:
         if p1 <= target:
@@ -94,21 +91,22 @@ def decide(
                 answer=YES,
                 resolved_at="P1_BOUND",
                 certificate={"type": "bound", "bound": "p1", "value": p1},
-                bounds=BoundsReport(p=p, p1=p1, p2=None, wp_complement=wp),
+                bounds=report,
                 kernel=None,
             )
         p2 = neighborhood_union_bound(g)
-        assert p2 <= p1, f"bound chain broken: p2={p2}, p1={p1}"
+        if p2 > p1:
+            raise InternalError(f"bound chain broken: p2={p2}, p1={p1}")
+        report = replace(report, p2=p2)
         if p2 <= target:
             return Decision(
                 answer=YES,
                 resolved_at="P2_BOUND",
                 certificate={"type": "bound", "bound": "p2", "value": p2},
-                bounds=BoundsReport(p=p, p1=p1, p2=p2, wp_complement=wp),
+                bounds=report,
                 kernel=None,
             )
 
-    report = BoundsReport(p=p, p1=p1, p2=p2, wp_complement=wp)
     kr = kernelize(g, k)
     if kr.trivially_yes:
         return Decision(
@@ -136,8 +134,8 @@ def decide(
     in_cover = set(outcome.cover)
     kernel_ind = [v for v in range(kr.n0) if v not in in_cover]
     original = sorted(kr.mapping[v] for v in kernel_ind)[: target + 1]
-    assert len(original) == target + 1
-    assert g.is_independent_set(original), "kernel witness broke under mapping"
+    if len(original) != target + 1 or not g.is_independent_set(original):
+        raise InternalError("kernel witness broke under mapping")
     return Decision(
         answer=NO,
         resolved_at="VC_SEARCH",
@@ -155,7 +153,7 @@ def decide_many(g, node_budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[int, De
     """Run decide for every valid k (0..(p-1)//2) and check answer monotonicity.
 
     A YES at k asserts alpha <= p - k, which implies YES at every smaller k,
-    so the answers must form a YES-prefix; that is asserted before returning.
+    so the answers must form a YES-prefix; that is checked before returning.
     """
     p = nonedge_bound(g)
     results: list[tuple[int, Decision]] = []
@@ -165,8 +163,8 @@ def decide_many(g, node_budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[int, De
     for k, decision in results:
         if decision.answer == NO:
             seen_no = True
-        else:
-            assert not seen_no, f"non-monotone answers: YES at k={k} after a NO"
+        elif seen_no:
+            raise InternalError(f"non-monotone answers: YES at k={k} after a NO")
     return results
 
 

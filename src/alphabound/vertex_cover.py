@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ResourceLimitError
+from .errors import InternalError, ResourceLimitError
 from .graph import Graph, iter_bits
 
 __all__ = [
@@ -108,8 +108,8 @@ def vertex_cover_decide(
     if result is None:
         return VcOutcome(False, None, nodes)
     cover = tuple(iter_bits(result))
-    assert len(cover) <= t
-    assert g.is_vertex_cover(cover), "search produced a non-covering set"
+    if len(cover) > t or not g.is_vertex_cover(cover):
+        raise InternalError(f"search result is not a vertex cover of size <= {t}")
     return VcOutcome(True, cover, nodes)
 
 
@@ -129,6 +129,6 @@ def max_independent_set_at_least(
         return None
     in_cover = set(outcome.cover)
     ind = tuple(v for v in range(g.n) if v not in in_cover)
-    assert len(ind) >= s
-    assert g.is_independent_set(ind), "cover complement is not independent"
+    if len(ind) < s or not g.is_independent_set(ind):
+        raise InternalError(f"cover complement is not independent or smaller than {s}")
     return ind

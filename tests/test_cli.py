@@ -1,6 +1,9 @@
 """Command-line interface: reports, exit codes, external ids."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -168,3 +171,38 @@ def test_run_report_roundtrip():
         wall_ms=1.25,
     )
     assert RunReport.from_json(rep.to_json()) == rep
+
+
+# Run under ``python -O``, which strips plain asserts: a certificate that
+# fails its re-check must still stop ``decide`` and the CLI.
+BROKEN_CHECK_SCRIPT = """
+import sys
+import alphabound as ab
+from alphabound.cli import main
+
+if not sys.flags.optimize:
+    raise SystemExit(10)
+ab.Graph.is_independent_set = lambda self, vs: False
+g = ab.join(ab.complete_graph(3), ab.h_np(10, 4))  # a padded NO instance
+try:
+    ab.decide(g, 1)
+except ab.InternalError:
+    pass
+else:
+    raise SystemExit(11)
+ab.write_graph(g, sys.argv[1])
+raise SystemExit(main(["decide", sys.argv[1], "--k", "1"]))
+"""
+
+
+def test_failed_recheck_exits_three_under_optimize(tmp_path):
+    src_root = os.path.dirname(os.path.dirname(ab.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src_root + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_CHECK_SCRIPT, str(tmp_path / "g.col")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["type"] == "InternalError"

@@ -41,6 +41,26 @@ def test_constructor_validates_rows():
         ab.Graph([2, 0, 2])  # asymmetric with even popcount
 
 
+@pytest.mark.parametrize(
+    "n, u, columns",
+    [
+        (3, 0, range(3)),
+        (600, 599, range(600)),  # inside the single diagonal block
+        (4100, 4099, range(4096)),  # off-diagonal block past row 4,096
+        (4100, 7, range(4096, 4100)),  # its mirror, past column 4,096
+    ],
+)
+def test_constructor_rejects_one_way_arcs(n, u, columns):
+    g = ab.gnp(n, 0.01, seed=n)
+    rows = list(g.adjacency)
+    assert ab.Graph(rows) == g
+    v, w = [c for c in columns if c != u and not (rows[u] >> c) & 1][:2]
+    # Two one-way arcs: the fewest that keep the total popcount even.
+    rows[u] |= (1 << v) | (1 << w)
+    with pytest.raises(ValueError, match="adjacency not symmetric"):
+        ab.Graph(rows)
+
+
 def test_generators():
     assert (ab.empty_graph(5).n, ab.empty_graph(5).m) == (5, 0)
     k4 = ab.complete_graph(4)
@@ -143,8 +163,16 @@ def test_equality_and_hash():
     assert a != "not a graph"
 
 
+def assert_revalidates(h):
+    """Built unchecked, ``h`` must pass the full ``Graph(rows)`` validation."""
+    again = ab.Graph(h.adjacency)
+    assert again == h and again.m == h.m
+
+
 @given(graphs(max_n=9))
 def test_complement_involution(g):
+    assert_revalidates(g)
+    assert_revalidates(g.complement())
     assert g.complement().complement() == g
     assert g.m + g.complement().m == g.n * (g.n - 1) // 2
 
@@ -159,7 +187,23 @@ def test_degree_sum_is_twice_edges(g):
 def test_induced_subgraph_preserves_adjacency(g, bits):
     keep = [v for v in range(g.n) if (bits >> v) & 1]
     sub, mapping = g.induced_subgraph(keep)
+    assert_revalidates(sub)
     assert sub.n == len(keep)
     for i in range(sub.n):
         for j in range(i + 1, sub.n):
             assert sub.has_edge(i, j) == g.has_edge(mapping[i], mapping[j])
+
+
+@given(
+    graphs(max_n=7),
+    graphs(max_n=7),
+    st.integers(min_value=0, max_value=40),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_unchecked_builders_pass_validation(a, b, n, prob, seed):
+    assert_revalidates(ab.join(a, b))
+    assert_revalidates(ab.disjoint_union(a, b))
+    assert_revalidates(ab.gnp(n, prob, seed))
+    assert_revalidates(ab.empty_graph(n))
+    assert_revalidates(ab.complete_graph(n))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 import alphabound as ab
-from helpers import graphs, petersen
+from helpers import er_corpus, graphs, petersen
 
 
 def test_clique_join_decision():
@@ -109,3 +109,29 @@ def test_decide_many_yes_prefix():
     if "NO" in answers:
         first = answers.index("NO")
         assert all(a == "NO" for a in answers[first:])
+
+
+def test_decision_path_never_builds_the_complement(monkeypatch):
+    def refuse(self):
+        raise RuntimeError("complement built on the decision path")
+
+    monkeypatch.setattr(ab.Graph, "complement", refuse)
+    corpus = [ab.cycle_graph(5), petersen(), ab.h_np(10, 4)]
+    corpus += er_corpus((8,), per_density=1, seed=11)
+    reached = set()
+    for g in corpus:
+        alpha, _ = ab.exact_alpha(g)
+        rep = ab.bounds_report(g, with_p2=True)
+        assert alpha <= rep.p2 <= rep.p1 == rep.wp_complement <= rep.p
+        for k, swept in ab.decide_many(g):
+            for d in (swept, ab.decide(g, k), ab.decide(g, k, skip_bound_steps=True)):
+                assert (d.answer == "YES") == (alpha <= rep.p - k)
+                assert ab.verify_decision(g, k, d)
+                reached.add((d.resolved_at, d.answer))
+    assert reached == {
+        ("P1_BOUND", "YES"),
+        ("P2_BOUND", "YES"),
+        ("KERNEL_TRIVIAL", "YES"),
+        ("VC_SEARCH", "YES"),
+        ("VC_SEARCH", "NO"),
+    }
