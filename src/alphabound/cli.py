@@ -39,11 +39,10 @@ from .extremal import (
 )
 from .formats import (
     FORMATS,
+    _PARSERS,
     format_dimacs,
     format_edgelist,
     guess_format,
-    parse_dimacs,
-    parse_edgelist,
     write_graph,
 )
 from .graph import Graph, complete_graph, cycle_graph, empty_graph, gnp, h_np, path_graph
@@ -90,11 +89,12 @@ class _JsonParser(argparse.ArgumentParser):
 
 
 def _load(args) -> tuple[Graph, tuple[int, ...], dict]:
+    # Reads the text itself, not through read_graph, so that the report can
+    # name a format that was sniffed from the content.
     with open(args.path, "r", encoding="utf-8") as handle:
         text = handle.read()
     fmt = args.format or guess_format(args.path, text)
-    parse = parse_dimacs if fmt == "dimacs" else parse_edgelist
-    g, external = parse(text)
+    g, external = _PARSERS[fmt](text)
     info = {"path": args.path, "format": fmt, "n": g.n, "m": g.m}
     return g, external, info
 

@@ -40,7 +40,14 @@ __all__ = [
     "write_graph",
 ]
 
-FORMATS = ("dimacs", "edgelist")
+# Parser by format name.  Each entry looks its parser up when called, so a
+# wrapper later bound to ``parse_dimacs``/``parse_edgelist`` (a profiler or
+# tracer) sees every parse, the ones made through this table included.
+_PARSERS = {
+    "dimacs": lambda text: parse_dimacs(text),
+    "edgelist": lambda text: parse_edgelist(text),
+}
+FORMATS = tuple(_PARSERS)
 
 _DIMACS_EXTENSIONS = {".col", ".dimacs", ".clq"}
 _EDGELIST_EXTENSIONS = {".edgelist", ".edges", ".txt"}
@@ -218,12 +225,10 @@ def read_graph(path: str, fmt: Optional[str] = None) -> tuple[Graph, tuple[int, 
     """Read a graph file; returns (graph, external ids).  fmt=None guesses."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    fmt = fmt or guess_format(path, text)
-    if fmt == "dimacs":
-        return parse_dimacs(text)
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    raise ParameterError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    parse = _PARSERS.get(fmt or guess_format(path, text))
+    if parse is None:
+        raise ParameterError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return parse(text)
 
 
 def write_graph(

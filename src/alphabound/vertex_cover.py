@@ -15,6 +15,7 @@ break toward the lowest id, with the "take v" branch tried before the
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,8 +48,9 @@ def vertex_cover_decide(
 
     ``t < 0`` is never coverable (covers have non-negative size, edgeless or
     not).  Raises ResourceLimitError when the search tree exceeds
-    ``node_budget`` nodes.  A returned cover is re-verified against every
-    edge before the outcome is produced.
+    ``node_budget`` nodes or nests deeper than the interpreter's recursion
+    limit (one frame per branching level).  A returned cover is re-verified
+    against every edge before the outcome is produced.
     """
     if t < 0:
         return VcOutcome(False, None, 0)
@@ -104,7 +106,13 @@ def vertex_cover_decide(
             return cover | nv | took_nv
         return None
 
-    result = search((1 << n) - 1, t)
+    try:
+        result = search((1 << n) - 1, t)
+    except RecursionError:
+        raise ResourceLimitError(
+            f"vertex cover search nested deeper than the recursion limit of "
+            f"{sys.getrecursionlimit()} frames (cover budget {t})"
+        ) from None
     if result is None:
         return VcOutcome(False, None, nodes)
     cover = tuple(iter_bits(result))

@@ -4,7 +4,27 @@ import pytest
 from hypothesis import given
 
 import alphabound as ab
-from helpers import all_labeled_graphs, graphs, petersen
+from helpers import (
+    all_labeled_graphs,
+    graphs,
+    petersen,
+    reference_union_bound,
+    reference_union_sequences,
+)
+
+
+def _union_bound_corpus():
+    """Every 6-vertex graph, seeded gnp at densities 0..1, padded tight cores."""
+    yield from all_labeled_graphs(6)
+    for n in (*range(12), 20, 40, 80):
+        for prob in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            for seed in (1, 2):
+                yield ab.gnp(n, prob, seed)
+    for i, tag in enumerate(ab.FAMILY_TAGS):
+        k = int(tag[1])
+        core = ab.generate_extremal(tag, ab.MIN_P[k] + 2, "random", i)
+        for c in (0, 1, 5, 40):
+            yield ab.join(ab.complete_graph(c), core)
 
 
 def test_nonedge_bound_values():
@@ -59,6 +79,16 @@ def test_neighborhood_union_bound_values():
     assert ab.neighborhood_union_bound(ab.complete_graph(5)) == 1
     assert ab.neighborhood_union_bound(ab.h_np(10, 4)) == 4
     assert ab.neighborhood_union_bound(petersen()) == 5
+
+
+def test_neighborhood_union_bound_and_sequences_are_exact():
+    checked = 0
+    for g in _union_bound_corpus():
+        assert ab.neighborhood_union_bound(g) == reference_union_bound(g)
+        expected = reference_union_sequences(g)
+        assert [list(ab.neighborhood_union_sequence(g, u)) for u in g.vertices()] == expected
+        checked += 1
+    assert checked > 32_768
 
 
 @given(graphs(max_n=9))

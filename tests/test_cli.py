@@ -9,7 +9,7 @@ import pytest
 
 import alphabound as ab
 from alphabound.cli import RunReport, main
-from helpers import petersen
+from helpers import disjoint_cliques, petersen
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +71,16 @@ def test_decide_parameter_error_exit_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "decide", str(path), "--k", "1")
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "ParameterError"
+
+
+def test_deep_search_exits_two_with_json(tmp_path, capsys):
+    path = tmp_path / "k4x1000.col"
+    ab.write_graph(disjoint_cliques(1000, 4), str(path))
+    code, out, err = run_cli(capsys, "decide", str(path), "--k", "1500", "--skip-bound-steps")
+    assert code == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "ResourceLimitError"
+    assert "recursion limit" in payload["message"]
 
 
 def test_missing_file_exit_two(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 import alphabound as ab
-from helpers import er_corpus, graphs, petersen
+from helpers import disjoint_cliques, er_corpus, graphs, petersen
 
 
 def test_clique_join_decision():
@@ -135,3 +135,12 @@ def test_decision_path_never_builds_the_complement(monkeypatch):
         ("VC_SEARCH", "YES"),
         ("VC_SEARCH", "NO"),
     }
+
+
+def test_deep_search_is_a_resource_limit_not_a_recursion_error():
+    # 1,000 disjoint K4 (p = 3,998) at k = 1,500: the kernel is the whole
+    # graph with a cover budget of 1,501, and each branching level of the
+    # search is one frame, so it nests past the default limit of 1,000.
+    g = disjoint_cliques(1000, 4)
+    with pytest.raises(ab.ResourceLimitError, match="recursion limit"):
+        ab.decide(g, 1500, skip_bound_steps=True)
