@@ -39,10 +39,9 @@ from .extremal import (
 )
 from .formats import (
     FORMATS,
-    _PARSERS,
-    format_dimacs,
-    format_edgelist,
+    format_graph,
     guess_format,
+    read_graph_with_format,
     write_graph,
 )
 from .graph import Graph, complete_graph, cycle_graph, empty_graph, gnp, h_np, path_graph
@@ -89,12 +88,7 @@ class _JsonParser(argparse.ArgumentParser):
 
 
 def _load(args) -> tuple[Graph, tuple[int, ...], dict]:
-    # Reads the text itself, not through read_graph, so that the report can
-    # name a format that was sniffed from the content.
-    with open(args.path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    fmt = args.format or guess_format(args.path, text)
-    g, external = _PARSERS[fmt](text)
+    g, external, fmt = read_graph_with_format(args.path, args.format)
     info = {"path": args.path, "format": fmt, "n": g.n, "m": g.m}
     return g, external, info
 
@@ -184,18 +178,14 @@ _GEN_BUILDERS = {
 }
 
 
-def _emit_graph(g: Graph, args) -> Optional[dict]:
-    """Write the graph to --out (returning a result dict) or print it raw."""
-    if args.out:
-        fmt = args.format or guess_format(args.out)
-        write_graph(g, args.out, fmt)
-        return {"n": g.n, "m": g.m, "path": args.out, "format": fmt}
-    fmt = args.format or "edgelist"
-    if fmt == "dimacs":
-        sys.stdout.write(format_dimacs(g))
-    else:
-        sys.stdout.write(format_edgelist(g))
-    return None
+def _emit_graph(g: Graph, args, params: dict, **tag):
+    """Write the graph to --out and report it, or print it raw."""
+    if not args.out:
+        sys.stdout.write(format_graph(g, args.format or "edgelist"))
+        return None, 0, None, params
+    fmt = args.format or guess_format(args.out)
+    write_graph(g, args.out, fmt)
+    return {"n": g.n, "m": g.m, "path": args.out, "format": fmt, **tag}, 0, None, params
 
 
 def _cmd_gen(args):
@@ -205,11 +195,7 @@ def _cmd_gen(args):
         for key in ("n", "p", "prob", "seed")
         if hasattr(args, key)
     }
-    result = _emit_graph(g, args)
-    if result is None:
-        return None, 0, None, params
-    result["family"] = args.family
-    return result, 0, None, params
+    return _emit_graph(g, args, params, family=args.family)
 
 
 def _cmd_extremal_generate(args):
@@ -220,11 +206,7 @@ def _cmd_extremal_generate(args):
         "edge_choice": args.edge_choice,
         "seed": args.seed,
     }
-    result = _emit_graph(g, args)
-    if result is None:
-        return None, 0, None, params
-    result["tag"] = args.tag
-    return result, 0, None, params
+    return _emit_graph(g, args, params, tag=args.tag)
 
 
 def _cmd_extremal_classify(args):

@@ -136,6 +136,7 @@ def rest_size_range(p: int, k: int) -> tuple[int, int]:
     A rest of size r is feasible while its non-edge floor fits the budget.
     The floor is non-decreasing in r over the feasible range, so the range
     is an interval [0, r_max]; at p >= MIN_P[k] it is exactly [0, k].
+    Raises ParameterError when a rest of more than p vertices fits the budget.
     """
     budget2 = 2 * residual_nonedge_budget(p, k)
     r = 0
@@ -145,7 +146,10 @@ def rest_size_range(p: int, k: int) -> tuple[int, int]:
         if floor2 > budget2:
             break
         r = nxt
-        assert r <= p, "rest size scan ran away"
+        if r > p:
+            raise ParameterError(
+                f"rest size scan passed p at p={p}, k={k}: the budget bounds nothing"
+            )
     if p >= MIN_P.get(k, p + 1):
         assert r == k, f"feasible rest sizes [0, {r}] != [0, k] at p={p}, k={k}"
     return (0, r)

@@ -16,6 +16,12 @@ Two formats are supported:
   single token declares an isolated vertex, so graphs with degree-0
   vertices survive a write/read round trip.
 
+One table, ``_FORMATS``, holds each format's parser, text writer and file
+extensions; everything here dispatches through it.  The parsers validate
+once: each checks every line as it reads it and wraps the bit rows it fills
+unchecked (the edge list fills them after its last line, once the dense
+relabelling is known), so no edge is checked a second time.
+
 Readers return ``(graph, external_ids)`` where ``external_ids[i]`` is the
 label the input used for internal vertex ``i`` (for DIMACS that is always
 ``i + 1``).  Witnesses reported to users should be mapped through it.
@@ -24,6 +30,7 @@ label the input used for internal vertex ``i`` (for DIMACS that is always
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from .errors import ParameterError, ParseError
@@ -36,21 +43,37 @@ __all__ = [
     "parse_edgelist",
     "format_dimacs",
     "format_edgelist",
+    "format_graph",
     "read_graph",
+    "read_graph_with_format",
     "write_graph",
 ]
 
-# Parser by format name.  Each entry looks its parser up when called, so a
-# wrapper later bound to ``parse_dimacs``/``parse_edgelist`` (a profiler or
-# tracer) sees every parse, the ones made through this table included.
-_PARSERS = {
-    "dimacs": lambda text: parse_dimacs(text),
-    "edgelist": lambda text: parse_edgelist(text),
-}
-FORMATS = tuple(_PARSERS)
 
-_DIMACS_EXTENSIONS = {".col", ".dimacs", ".clq"}
-_EDGELIST_EXTENSIONS = {".edgelist", ".edges", ".txt"}
+def _dimacs_text(g: Graph, external_ids: Optional[Sequence[int]]) -> str:
+    if external_ids is not None:
+        raise ParameterError("dimacs output renumbers vertices 1..n; external ids "
+                             "are only supported for edgelist output")
+    return format_dimacs(g)
+
+
+# The entries look the parsers up when called, so a wrapper later bound to
+# ``parse_dimacs`` or ``parse_edgelist`` (a profiler or tracer) sees every parse.
+_Format = namedtuple("_Format", "parse render extensions")
+_FORMATS = {
+    "dimacs": _Format(lambda text: parse_dimacs(text), _dimacs_text,
+                      {".col", ".dimacs", ".clq"}),
+    "edgelist": _Format(lambda text: parse_edgelist(text),
+                        lambda g, ids: format_edgelist(g, ids),
+                        {".edgelist", ".edges", ".txt"}),
+}
+FORMATS = tuple(_FORMATS)
+
+
+def _lookup(fmt: str) -> _Format:
+    if fmt not in _FORMATS:
+        raise ParameterError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _FORMATS[fmt]
 
 
 def guess_format(path: str, text: Optional[str] = None) -> str:
@@ -60,17 +83,14 @@ def guess_format(path: str, text: Optional[str] = None) -> str:
     line: DIMACS files open with a ``c`` or ``p`` line.
     """
     ext = os.path.splitext(path)[1].lower()
-    if ext in _DIMACS_EXTENSIONS:
-        return "dimacs"
-    if ext in _EDGELIST_EXTENSIONS:
-        return "edgelist"
+    for name, entry in _FORMATS.items():
+        if ext in entry.extensions:
+            return name
     if text is not None:
         for raw in text.splitlines():
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            head = stripped.split()[0]
-            return "dimacs" if head in ("c", "p") else "edgelist"
+            fields = raw.split()
+            if fields:
+                return "dimacs" if fields[0] in ("c", "p") else "edgelist"
         return "edgelist"
     raise ParameterError(
         f"cannot infer graph format from {path!r}; pass one of {FORMATS}"
@@ -81,13 +101,14 @@ def parse_dimacs(text: str) -> tuple[Graph, tuple[int, ...]]:
     """Parse DIMACS text into (graph, 1-based external ids)."""
     n = None
     declared_m = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    m = 0
+    # Rows grow with the largest endpoint seen, and to n only once the file
+    # is valid: a header that declares a huge n allocates nothing before then.
+    rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped:
+        fields = raw.split()
+        if not fields:
             continue
-        fields = stripped.split()
         kind = fields[0]
         if kind == "c":
             continue
@@ -96,13 +117,13 @@ def parse_dimacs(text: str) -> tuple[Graph, tuple[int, ...]]:
                 raise ParseError("repeated problem line", lineno)
             if len(fields) != 4 or fields[1] != "edge":
                 raise ParseError(
-                    f"expected 'p edge N M', got {stripped!r}", lineno
+                    f"expected 'p edge N M', got {raw.strip()!r}", lineno
                 )
             try:
                 n, declared_m = int(fields[2]), int(fields[3])
             except ValueError:
                 raise ParseError(
-                    f"non-integer sizes in problem line {stripped!r}", lineno
+                    f"non-integer sizes in problem line {raw.strip()!r}", lineno
                 ) from None
             if n < 0 or declared_m < 0:
                 raise ParseError("negative size in problem line", lineno)
@@ -110,74 +131,76 @@ def parse_dimacs(text: str) -> tuple[Graph, tuple[int, ...]]:
             if n is None:
                 raise ParseError("edge before problem line", lineno)
             if len(fields) != 3:
-                raise ParseError(f"expected 'e u v', got {stripped!r}", lineno)
+                raise ParseError(f"expected 'e u v', got {raw.strip()!r}", lineno)
             try:
                 u, v = int(fields[1]), int(fields[2])
             except ValueError:
                 raise ParseError(
-                    f"non-integer endpoint in {stripped!r}", lineno
+                    f"non-integer endpoint in {raw.strip()!r}", lineno
                 ) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(
-                    f"endpoint out of range 1..{n} in {stripped!r}", lineno
+                    f"endpoint out of range 1..{n} in {raw.strip()!r}", lineno
                 )
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", lineno)
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ParseError(f"duplicate edge {key[0]} {key[1]}", lineno)
-            seen.add(key)
-            edges.append((u - 1, v - 1))
+            if u > len(rows) or v > len(rows):
+                rows.extend([0] * (max(u, v) - len(rows)))
+            bit = 1 << (v - 1)
+            if rows[u - 1] & bit:
+                raise ParseError(f"duplicate edge {min(u, v)} {max(u, v)}", lineno)
+            rows[u - 1] |= bit
+            rows[v - 1] |= 1 << (u - 1)
+            m += 1
         else:
             raise ParseError(f"unknown line type {kind!r}", lineno)
     if n is None:
         raise ParseError("missing problem line")
-    if len(edges) != declared_m:
+    if m != declared_m:
         raise ParseError(
-            f"problem line declared {declared_m} edges, file has {len(edges)}"
+            f"problem line declared {declared_m} edges, file has {m}"
         )
-    return Graph.from_edges(n, edges), tuple(range(1, n + 1))
+    rows.extend([0] * (n - len(rows)))
+    return Graph._unchecked(rows), tuple(range(1, n + 1))
 
 
 def parse_edgelist(text: str) -> tuple[Graph, tuple[int, ...]]:
     """Parse edge-list text into (graph, sorted original vertex labels)."""
-    labels: set[int] = set()
-    edges: set[tuple[int, int]] = set()
-
-    def to_label(token: str, lineno: int) -> int:
-        try:
-            value = int(token)
-        except ValueError:
-            raise ParseError(
-                f"vertex id must be an integer, got {token!r}", lineno
-            ) from None
-        if value < 0:
-            raise ParseError(f"negative vertex id {value}", lineno)
-        return value
-
+    isolated: list[int] = []
+    ends: list[int] = []  # u0, v0, u1, v1, ... in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = stripped.split()
-        if len(fields) == 1:
-            labels.add(to_label(fields[0], lineno))
-        elif len(fields) == 2:
-            u, v = (to_label(f, lineno) for f in fields)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}", lineno)
-            labels.add(u)
-            labels.add(v)
-            edges.add((min(u, v), max(u, v)))
-        else:
+        if len(fields) > 2:
             raise ParseError(
                 f"expected 1 or 2 vertex ids per line, got {len(fields)}",
                 lineno,
             )
-    external = tuple(sorted(labels))
+        ids = []
+        for token in fields:
+            try:
+                ids.append(int(token))
+            except ValueError:
+                raise ParseError(
+                    f"vertex id must be an integer, got {token!r}", lineno
+                ) from None
+            if ids[-1] < 0:
+                raise ParseError(f"negative vertex id {ids[-1]}", lineno)
+        if len(ids) == 1:
+            isolated.append(ids[0])
+        elif ids[0] == ids[1]:
+            raise ParseError(f"self-loop at vertex {ids[0]}", lineno)
+        else:
+            ends += ids
+    external = tuple(sorted(set(ends).union(isolated)))
     dense = {label: i for i, label in enumerate(external)}
-    g = Graph.from_edges(len(external), ((dense[u], dense[v]) for u, v in edges))
-    return g, external
+    rows = [0] * len(external)
+    for u, v in zip(ends[::2], ends[1::2]):
+        u, v = dense[u], dense[v]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph._unchecked(rows), external
 
 
 def _check_external_ids(g: Graph, external_ids: Optional[Sequence[int]]) -> Sequence[int]:
@@ -197,12 +220,9 @@ def _check_external_ids(g: Graph, external_ids: Optional[Sequence[int]]) -> Sequ
     return external_ids
 
 
-def format_dimacs(g: Graph, comment: Optional[str] = None) -> str:
+def format_dimacs(g: Graph) -> str:
     """Render a graph as DIMACS text; vertices are renumbered 1..n."""
-    lines = []
-    if comment:
-        lines.extend(f"c {line}".rstrip() for line in comment.splitlines())
-    lines.append(f"p edge {g.n} {g.m}")
+    lines = [f"p edge {g.n} {g.m}"]
     lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
@@ -221,14 +241,25 @@ def format_edgelist(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def read_graph(path: str, fmt: Optional[str] = None) -> tuple[Graph, tuple[int, ...]]:
-    """Read a graph file; returns (graph, external ids).  fmt=None guesses."""
+def format_graph(g: Graph, fmt: str, external_ids: Optional[Sequence[int]] = None) -> str:
+    """Render a graph as text in the named format (external ids: edgelist only)."""
+    return _lookup(fmt).render(g, external_ids)
+
+
+def read_graph_with_format(
+    path: str, fmt: Optional[str] = None
+) -> tuple[Graph, tuple[int, ...], str]:
+    """``read_graph`` that also returns the format name it used (or guessed)."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    parse = _PARSERS.get(fmt or guess_format(path, text))
-    if parse is None:
-        raise ParameterError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    return parse(text)
+    fmt = fmt or guess_format(path, text)
+    g, external = _lookup(fmt).parse(text)
+    return g, external, fmt
+
+
+def read_graph(path: str, fmt: Optional[str] = None) -> tuple[Graph, tuple[int, ...]]:
+    """Read a graph file; returns (graph, external ids).  fmt=None guesses."""
+    return read_graph_with_format(path, fmt)[:2]
 
 
 def write_graph(
@@ -238,17 +269,6 @@ def write_graph(
     external_ids: Optional[Sequence[int]] = None,
 ) -> None:
     """Write a graph file; fmt=None guesses from the extension."""
-    fmt = fmt or guess_format(path)
-    if fmt == "dimacs":
-        if external_ids is not None:
-            raise ParameterError(
-                "dimacs output renumbers vertices 1..n; external ids "
-                "are only supported for edgelist output"
-            )
-        text = format_dimacs(g)
-    elif fmt == "edgelist":
-        text = format_edgelist(g, external_ids)
-    else:
-        raise ParameterError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    text = format_graph(g, fmt or guess_format(path), external_ids)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)

@@ -7,9 +7,10 @@ row, a neighbourhood union is a bitwise or — and they are hashable, which
 keeps graphs safely immutable.  Anything that "modifies" a graph returns a
 new one, together with an id mapping when vertices are renumbered.
 
-Rows are validated once, where they enter: ``Graph(rows)`` checks them all
-and ``from_edges`` checks each edge.  Derived graphs and generators are
-symmetric by construction and are built unchecked.
+Rows are validated once, where they enter: ``Graph(rows)`` checks them all,
+``from_edges`` checks each edge, and the file parsers in ``formats`` check
+each line they read.  Derived graphs and generators are symmetric by
+construction and are built unchecked.
 
 ``n = 0`` and ``n = 1`` are legal everywhere.
 """

@@ -51,6 +51,14 @@ class KernelResult:
     trivially_yes: bool
 
 
+def _require_headroom(p: int, k: int) -> None:
+    """The precondition k >= 0 and p >= 2k + 1 of peeling, its bound and ``decide``."""
+    if k < 0 or p < 2 * k + 1:
+        raise ParameterError(
+            f"peeling needs k >= 0 and p >= 2k + 1, got p={p}, k={k}"
+        )
+
+
 def kernelize(g: Graph, k: int) -> KernelResult:
     """Peel every vertex of degree >= n - p + k in one simultaneous pass.
 
@@ -58,13 +66,8 @@ def kernelize(g: Graph, k: int) -> KernelResult:
     answer-preservation argument needs the headroom).  Work is one degree
     scan plus the induced subgraph build.
     """
-    if k < 0:
-        raise ParameterError(f"k must be non-negative, got {k}")
     p = nonedge_bound(g)
-    if p < 2 * k + 1:
-        raise ParameterError(
-            f"peeling needs p >= 2k + 1, got p={p}, k={k} (n={g.n}, m={g.m})"
-        )
+    _require_headroom(p, k)
     n = g.n
     threshold = n - p + k
     degrees = g.degrees()
@@ -86,10 +89,7 @@ def kernelize(g: Graph, k: int) -> KernelResult:
 
 def kernel_size_bound(p: int, k: int) -> int:
     """The guaranteed kernel-order ceiling p + 2k + 1, valid for p >= 2k + 1."""
-    if k < 0:
-        raise ParameterError(f"k must be non-negative, got {k}")
-    if p < 2 * k + 1:
-        raise ParameterError(f"size bound needs p >= 2k + 1, got p={p}, k={k}")
+    _require_headroom(p, k)
     return p + 2 * k + 1
 
 

@@ -28,8 +28,8 @@ from .bounds import (
     neighborhood_union_bound,
     nonedge_bound,
 )
-from .errors import InternalError, ParameterError
-from .kernel import KernelResult, kernelize
+from .errors import InternalError
+from .kernel import KernelResult, _require_headroom, kernelize
 from .vertex_cover import DEFAULT_NODE_BUDGET, vertex_cover_decide
 
 __all__ = ["Decision", "decide", "decide_many", "verify_decision"]
@@ -75,14 +75,9 @@ def decide(
     ``skip_bound_steps`` is a diagnostic switch that jumps straight to the
     kernel stage; it never changes the answer, only ``resolved_at``.
     """
-    if k < 0:
-        raise ParameterError(f"k must be non-negative, got {k}")
     report = bounds_report(g)
     p, p1 = report.p, report.p1
-    if p < 2 * k + 1:
-        raise ParameterError(
-            f"decide needs p >= 2k + 1, got p={p}, k={k} (n={g.n}, m={g.m})"
-        )
+    _require_headroom(p, k)
     target = p - k
 
     if not skip_bound_steps:

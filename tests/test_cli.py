@@ -137,6 +137,14 @@ def test_gen_writes_raw_edgelist_to_stdout(capsys):
     assert g == ab.cycle_graph(5)
 
 
+def test_gen_writes_raw_dimacs_to_stdout(capsys):
+    code, out, err = run_cli(capsys, "gen", "cycle", "5", "--format", "dimacs")
+    assert code == 0 and err == ""
+    assert out == ab.format_dimacs(ab.cycle_graph(5))
+    g, _ = ab.parse_dimacs(out)
+    assert g == ab.cycle_graph(5)
+
+
 def test_gen_gnp_to_file(tmp_path, capsys):
     target = tmp_path / "g.col"
     code, out, _ = run_cli(capsys, "gen", "gnp", "30", "0.2", "--seed", "7", "--out", str(target))

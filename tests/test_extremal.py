@@ -1,5 +1,9 @@
 """Tight families: budgets, rest-size ranges, generation, classification."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import alphabound as ab
@@ -37,6 +41,39 @@ def test_rest_size_range_thresholds():
     assert ab.rest_size_range(2, 1)[1] > 1
     assert ab.rest_size_range(7, 2)[1] > 2
     assert ab.rest_size_range(14, 3)[1] > 3
+
+
+@pytest.mark.parametrize("p, k", [(1, 1), (3, 2), (2, 2), (5, 3)])
+def test_rest_size_range_rejects_an_unbounded_scan(p, k):
+    with pytest.raises(ab.ParameterError):
+        ab.rest_size_range(p, k)
+
+
+# Run under ``python -O``, which strips plain asserts: the scan at k = p,
+# where every rest size fits the budget, must still stop.
+UNBOUNDED_SCAN_SCRIPT = """
+import sys
+import alphabound as ab
+
+if not sys.flags.optimize:
+    raise SystemExit(10)
+try:
+    ab.rest_size_range(2, 2)
+except ab.ParameterError:
+    raise SystemExit(0)
+raise SystemExit(11)
+"""
+
+
+def test_rest_size_range_stops_under_optimize():
+    src_root = os.path.dirname(os.path.dirname(ab.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src_root + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", UNBOUNDED_SCAN_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_residual_floor_strictly_increases():

@@ -60,3 +60,18 @@ def test_kernel_invariants(g):
         alpha_g = ab.exact_alpha(g)[0]
         alpha_k = ab.exact_alpha(kr.kernel)[0]
         assert (alpha_g <= p - k) == (alpha_k <= p - k)
+
+
+def test_precondition_has_one_message():
+    g = ab.h_np(10, 4)  # p = 4
+    for k in (-1, 2):
+        messages = set()
+        for call in (
+            lambda: ab.decide(g, k),
+            lambda: ab.kernelize(g, k),
+            lambda: ab.kernel_size_bound(4, k),
+        ):
+            with pytest.raises(ab.ParameterError) as e:
+                call()
+            messages.add(str(e.value))
+        assert messages == {f"peeling needs k >= 0 and p >= 2k + 1, got p=4, k={k}"}
