@@ -358,7 +358,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         result, code, input_info, params = args.handler(args)
     except (ParameterError, ParseError, ResourceLimitError, ValueError,
-            OSError, InternalError) as exc:
+            OSError, MemoryError, InternalError) as exc:
         json.dump(
             {"error": {"type": type(exc).__name__, "message": str(exc)}},
             sys.stderr,

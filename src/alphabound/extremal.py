@@ -34,7 +34,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from .bounds import nonedge_bound
-from .errors import ParameterError
+from .errors import InternalError, ParameterError
 from .graph import Graph, complement_edge_count, iter_bits
 from .oracle import exact_alpha
 
@@ -138,20 +138,16 @@ def rest_size_range(p: int, k: int) -> tuple[int, int]:
     is an interval [0, r_max]; at p >= MIN_P[k] it is exactly [0, k].
     Raises ParameterError when a rest of more than p vertices fits the budget.
     """
-    budget2 = 2 * residual_nonedge_budget(p, k)
+    budget = residual_nonedge_budget(p, k)
     r = 0
-    while True:
-        nxt = r + 1
-        floor2 = max(2 * nxt * (p - k) - nxt * (nxt - 1), nxt * (p - k))
-        if floor2 > budget2:
-            break
-        r = nxt
+    while residual_nonedge_floor(p, k, r + 1) <= budget:
+        r += 1
         if r > p:
             raise ParameterError(
                 f"rest size scan passed p at p={p}, k={k}: the budget bounds nothing"
             )
-    if p >= MIN_P.get(k, p + 1):
-        assert r == k, f"feasible rest sizes [0, {r}] != [0, k] at p={p}, k={k}"
+    if p >= MIN_P.get(k, p + 1) and r != k:
+        raise InternalError(f"feasible rest sizes [0, {r}] != [0, k] at p={p}, k={k}")
     return (0, r)
 
 
@@ -219,10 +215,12 @@ def generate_extremal(
                 chosen.add(pair)
     g = Graph.from_edges(n0, (tuple(sorted(e)) for e in chosen))
     actual = {frozenset(e) for e in g.edges()}
-    assert required <= actual <= required | optional, "sandwich violated"
+    if not required <= actual <= required | optional:
+        raise InternalError(f"{tag} member violates its sandwich")
     if n0 <= _ORACLE_VERIFY_MAX_N:
         alpha, _ = exact_alpha(g)
-        assert alpha == p - k + 1, f"{tag} member has alpha={alpha}"
+        if alpha != p - k + 1:
+            raise InternalError(f"{tag} member has alpha={alpha}")
     return g
 
 
@@ -265,7 +263,8 @@ def classify_extremal(g: Graph, p: int, k: int) -> ExtremalAnalysis:
     inside = set(witness)
     rest = tuple(v for v in g.vertices() if v not in inside)
     residual = complement_edge_count(g) - comb(isize, 2)
-    assert residual >= 0
+    if residual < 0:
+        raise InternalError(f"negative residual non-edge count {residual}")
     tag = UNMATCHED
     if len(rest) <= rest_size_range(p, k)[1]:
         for cand in FAMILY_TAGS:
@@ -302,7 +301,8 @@ def enumerate_k1_extremal(p: int) -> dict[str, int]:
     """
     if not MIN_P[1] <= p <= 5:
         raise ParameterError(f"census supports 3 <= p <= 5, got p={p}")
-    assert rest_size_range(p, 1) == (0, 1)
+    if rest_size_range(p, 1) != (0, 1):
+        raise InternalError(f"k=1 rest sizes at p={p} are not [0, 1]")
     max_nonedges = comb(p + 1, 2) - 1
     counts: Counter[str] = Counter()
     for n0 in (p, p + 1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from .errors import ResourceLimitError
+from .errors import InternalError, ResourceLimitError
 from .graph import Graph, iter_bits
 
 __all__ = [
@@ -80,8 +80,8 @@ def exact_alpha(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]
 
     search((1 << n) - 1, 0, 0)
     witness = tuple(iter_bits(best_mask))
-    assert len(witness) == best_size
-    assert g.is_independent_set(witness), "oracle produced a dependent witness"
+    if len(witness) != best_size or not g.is_independent_set(witness):
+        raise InternalError("oracle produced a dependent or missized witness")
     return best_size, witness
 
 
@@ -90,7 +90,8 @@ def exact_min_vc(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]
     size, ind = exact_alpha(g, cap)
     chosen = set(ind)
     cover = tuple(v for v in range(g.n) if v not in chosen)
-    assert g.is_vertex_cover(cover), "oracle produced a non-covering witness"
+    if not g.is_vertex_cover(cover):
+        raise InternalError("oracle produced a non-covering witness")
     return g.n - size, cover
 
 

@@ -4,18 +4,21 @@ Decides "does G have a vertex cover of size <= t?" with a classic two-way
 search tree: after exhaustive reductions (drop isolated vertices, take the
 neighbour of a degree-1 vertex, force any vertex of degree > t into the
 cover), branch on a maximum-degree vertex v — either v joins the cover or
-all of N(v) does.  The tree explores at most 2^(t+1) nodes; degree-2
-folding and other witness-complicating reductions are deliberately left
-out, so a successful search always carries a concrete cover.
+all of N(v) does.  A node is closed without branching when its active
+edges exceed budget x maximum degree, since each cover vertex covers at
+most that many (Buss's counting argument).  The tree explores at most
+2^(t+1) nodes; degree-2 folding and other witness-complicating reductions
+are deliberately left out, so a successful search always carries a
+concrete cover.
 
-The search is deterministic: scans run in increasing vertex id and ties
-break toward the lowest id, with the "take v" branch tried before the
-"take N(v)" branch.
+The search is one loop over an explicit stack of open nodes, depth-first
+and deterministic: scans run in increasing vertex id and ties break toward
+the lowest id, with the "take v" branch tried before the "take N(v)"
+branch.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,78 +50,69 @@ def vertex_cover_decide(
     """Is there a vertex cover of size at most ``t``?
 
     ``t < 0`` is never coverable (covers have non-negative size, edgeless or
-    not).  Raises ResourceLimitError when the search tree exceeds
-    ``node_budget`` nodes or nests deeper than the interpreter's recursion
-    limit (one frame per branching level).  A returned cover is re-verified
-    against every edge before the outcome is produced.
+    not).  The search keeps its open nodes on an explicit stack, so its depth
+    is limited by memory alone.  A node whose active edges exceed
+    ``budget * max_degree`` is closed without branching; such a node holds no
+    cover, so the cover found is the same as without the bound and only
+    ``nodes_explored`` falls.  Raises ResourceLimitError when the search tree
+    exceeds ``node_budget`` nodes.  A returned cover is re-verified against
+    every edge before the outcome is produced.
     """
     if t < 0:
         return VcOutcome(False, None, 0)
-    n = g.n
     rows = g.adjacency
     nodes = 0
-
-    def search(active: int, budget: int) -> Optional[int]:
-        nonlocal nodes
+    stack = [((1 << g.n) - 1, t, 0)]  # open nodes: (active, budget, cover)
+    while stack:
+        active, budget, cover = stack.pop()
         nodes += 1
         if nodes > node_budget:
             raise ResourceLimitError(
                 f"vertex cover search exceeded {node_budget} nodes"
             )
-        cover = 0
         while True:
             best_v = -1
             best_deg = 0
             leaf = -1
+            deg_sum = 0
             for v in iter_bits(active):
                 deg = (rows[v] & active).bit_count()
                 if deg == 0:
                     active ^= 1 << v  # isolated: irrelevant to any cover
                     continue
+                deg_sum += deg
                 if deg == 1 and leaf < 0:
                     leaf = v
                 if deg > best_deg:
                     best_deg, best_v = deg, v
-            if best_deg == 0:
-                return cover  # edgeless; budget >= 0 throughout
-            if budget <= 0:
-                return None
+            if best_deg == 0 or budget <= 0:
+                break
             if leaf >= 0:
                 # Some optimum takes the neighbour of a degree-1 vertex.
                 w = (rows[leaf] & active).bit_length() - 1
                 cover |= 1 << w
                 active &= ~((1 << w) | (1 << leaf))
                 budget -= 1
-                continue
-            if best_deg > budget:
+            elif best_deg > budget:
                 # v has more neighbours than budget: v must join the cover.
                 cover |= 1 << best_v
                 active ^= 1 << best_v
                 budget -= 1
-                continue
-            break
-        took_v = search(active & ~(1 << best_v), budget - 1)
-        if took_v is not None:
-            return cover | (1 << best_v) | took_v
+            else:
+                break
+        if best_deg == 0:  # edgeless; budget >= 0 throughout
+            found = tuple(iter_bits(cover))
+            if len(found) > t or not g.is_vertex_cover(found):
+                raise InternalError(f"search result is not a vertex cover of size <= {t}")
+            return VcOutcome(True, found, nodes)
+        # At most ``budget`` cover vertices remain, each covering at most
+        # best_deg of the deg_sum / 2 active edges.
+        if deg_sum > 2 * budget * best_deg:
+            continue
         nv = rows[best_v] & active
-        took_nv = search(active & ~(nv | (1 << best_v)), budget - nv.bit_count())
-        if took_nv is not None:
-            return cover | nv | took_nv
-        return None
-
-    try:
-        result = search((1 << n) - 1, t)
-    except RecursionError:
-        raise ResourceLimitError(
-            f"vertex cover search nested deeper than the recursion limit of "
-            f"{sys.getrecursionlimit()} frames (cover budget {t})"
-        ) from None
-    if result is None:
-        return VcOutcome(False, None, nodes)
-    cover = tuple(iter_bits(result))
-    if len(cover) > t or not g.is_vertex_cover(cover):
-        raise InternalError(f"search result is not a vertex cover of size <= {t}")
-    return VcOutcome(True, cover, nodes)
+        stack.append((active & ~(nv | (1 << best_v)), budget - nv.bit_count(), cover | nv))
+        stack.append((active & ~(1 << best_v), budget - 1, cover | (1 << best_v)))
+    return VcOutcome(False, None, nodes)
 
 
 def max_independent_set_at_least(

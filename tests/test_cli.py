@@ -73,14 +73,38 @@ def test_decide_parameter_error_exit_two(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "ParameterError"
 
 
-def test_deep_search_exits_two_with_json(tmp_path, capsys):
+def test_deep_search_exits_zero_with_json(tmp_path, capsys):
     path = tmp_path / "k4x1000.col"
     ab.write_graph(disjoint_cliques(1000, 4), str(path))
     code, out, err = run_cli(capsys, "decide", str(path), "--k", "1500", "--skip-bound-steps")
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert (result["answer"], result["resolved_at"]) == ("YES", "VC_SEARCH")
+    assert result["certificate"] == {
+        "type": "search_exhausted",
+        "cover_budget": 1501,
+        "nodes_explored": 1,
+    }
+
+
+def test_node_budget_exceeded_exits_two_with_json(tmp_path, capsys):
+    path = tmp_path / "gnp12.col"
+    ab.write_graph(ab.gnp(12, 0.3, seed=0), str(path))
+    code, out, err = run_cli(capsys, "decide", str(path), "--k", "4", "--node-budget", "1")
     assert code == 2 and out == ""
     payload = json.loads(err)["error"]
     assert payload["type"] == "ResourceLimitError"
-    assert "recursion limit" in payload["message"]
+    assert payload["message"] == "vertex cover search exceeded 1 nodes"
+
+
+def test_huge_dimacs_header_exits_two_with_json(tmp_path, capsys):
+    # The header is valid, so the parser asks for a row list of 2^61 entries;
+    # CPython refuses a list that long before it allocates anything.
+    path = tmp_path / "huge.col"
+    path.write_text(f"p edge {2 ** 61} 1\ne 1 2\n")
+    code, out, err = run_cli(capsys, "bounds", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "MemoryError"
 
 
 def test_missing_file_exit_two(capsys):
@@ -224,3 +248,32 @@ def test_failed_recheck_exits_three_under_optimize(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert json.loads(proc.stderr)["error"]["type"] == "InternalError"
+
+
+# Under ``python -O``: a generated family member whose independence number
+# fails its re-check must end in an InternalError, not in a written file.
+LYING_ORACLE_SCRIPT = """
+import sys
+import alphabound.extremal
+from alphabound.cli import main
+
+if not sys.flags.optimize:
+    raise SystemExit(10)
+alphabound.extremal.exact_alpha = lambda g, *args: (0, ())
+raise SystemExit(main(["extremal", "generate", "k1_b", "5", "--out", sys.argv[1]]))
+"""
+
+
+def test_failed_extremal_recheck_exits_three_under_optimize(tmp_path):
+    src_root = os.path.dirname(os.path.dirname(ab.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src_root + (os.pathsep + path if path else "")}
+    target = tmp_path / "k1_b.col"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", LYING_ORACLE_SCRIPT, str(target)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and not target.exists()
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "InternalError" and "alpha=0" in error["message"]

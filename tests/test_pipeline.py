@@ -137,10 +137,17 @@ def test_decision_path_never_builds_the_complement(monkeypatch):
     }
 
 
-def test_deep_search_is_a_resource_limit_not_a_recursion_error():
+def test_deep_search_answers_yes_at_the_root():
     # 1,000 disjoint K4 (p = 3,998) at k = 1,500: the kernel is the whole
-    # graph with a cover budget of 1,501, and each branching level of the
-    # search is one frame, so it nests past the default limit of 1,000.
+    # graph with a cover budget of 1,501.  Its 6,000 edges exceed 1,501 x 3,
+    # the most that many vertices of degree 3 can cover, so the search
+    # closes at its root instead of branching 1,500 levels deep.
     g = disjoint_cliques(1000, 4)
-    with pytest.raises(ab.ResourceLimitError, match="recursion limit"):
-        ab.decide(g, 1500, skip_bound_steps=True)
+    d = ab.decide(g, 1500, skip_bound_steps=True)
+    assert (d.answer, d.resolved_at) == ("YES", "VC_SEARCH")
+    assert d.certificate == {
+        "type": "search_exhausted",
+        "cover_budget": 1501,
+        "nodes_explored": 1,
+    }
+    assert ab.verify_decision(g, 1500, d)

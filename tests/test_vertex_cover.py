@@ -33,8 +33,52 @@ def test_cycles_need_half_the_vertices():
 
 
 def test_node_budget_enforced():
-    with pytest.raises(ab.ResourceLimitError):
-        ab.vertex_cover_decide(ab.cycle_graph(9), 4, node_budget=1)
+    # C9 has 9 edges and 4 vertices of degree 2 cover at most 8: the root
+    # closes without branching, so one node fits the budget.
+    assert ab.vertex_cover_decide(ab.cycle_graph(9), 4, node_budget=1) == ab.VcOutcome(
+        False, None, 1
+    )
+    # Petersen at t = 5 (15 edges <= 5 x 3) branches and explores 5 nodes.
+    assert ab.vertex_cover_decide(petersen(), 5) == ab.VcOutcome(False, None, 5)
+    with pytest.raises(ab.ResourceLimitError, match="exceeded 1 nodes"):
+        ab.vertex_cover_decide(petersen(), 5, node_budget=1)
+
+
+# Covers found by the search before it became an explicit-stack loop with an
+# edge-count bound, with the nodes it explored then: (n, prob, seed) of a
+# ``gnp`` graph -> {t: (cover or None, nodes)}.  They pin the depth-first
+# order (lowest-id ties, "take v" first); the bound may only lower the nodes.
+FROZEN_COVERS = {
+    (12, 0.3, 0): {5: (None, 5), 6: ((0, 3, 4, 6, 8, 9), 5), 8: ((0, 1, 5, 7, 8, 10, 11), 3)},
+    (16, 0.25, 1): {
+        8: (None, 7),
+        9: ((2, 3, 5, 6, 9, 11, 12, 14, 15), 10),
+        11: ((1, 2, 3, 6, 7, 8, 9, 11, 13, 14), 5),
+    },
+    (20, 0.2, 2): {11: (None, 11), 12: ((0, 4, 5, 6, 8, 9, 11, 15, 16, 17, 18, 19), 5)},
+    (24, 0.3, 4): {
+        14: (None, 11),
+        15: ((3, 4, 5, 7, 9, 10, 11, 12, 14, 15, 18, 20, 21, 22, 23), 7),
+    },
+    (30, 0.2, 6): {
+        18: (None, 37),
+        19: ((0, 1, 3, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 17, 18, 19, 21, 23, 25), 10),
+    },
+    (30, 0.4, 7): {
+        22: (None, 47),
+        23: ((1, 2, 3, 4, 5, 6, 8, 10, 11, 12, 14, 15, 16, 17, 18, 20, 21, 23, 24, 25,
+              26, 27, 29), 18),
+    },
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FROZEN_COVERS))
+def test_frozen_covers(spec):
+    g = ab.gnp(*spec[:2], seed=spec[2])
+    for t, (cover, nodes) in FROZEN_COVERS[spec].items():
+        out = ab.vertex_cover_decide(g, t)
+        assert (out.covered, out.cover) == (cover is not None, cover)
+        assert out.nodes_explored <= nodes
 
 
 @given(graphs(max_n=8), st.integers(min_value=-1, max_value=9))
