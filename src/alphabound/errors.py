@@ -5,6 +5,8 @@ that is not independent when one is required).  The subclasses below exist
 so callers, in particular the CLI, can tell the failure classes apart.
 """
 
+__all__ = ["ParameterError", "ParseError", "ResourceLimitError", "InternalError"]
+
 
 class ParameterError(ValueError):
     """A parameter combination falls outside the range a routine supports."""

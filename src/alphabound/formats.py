@@ -101,6 +101,7 @@ def parse_dimacs(text: str) -> tuple[Graph, tuple[int, ...]]:
     """Parse DIMACS text into (graph, 1-based external ids)."""
     n = None
     declared_m = None
+    header_line = None
     m = 0
     # Rows grow with the largest endpoint seen, and to n only once the file
     # is valid: a header that declares a huge n allocates nothing before then.
@@ -127,6 +128,7 @@ def parse_dimacs(text: str) -> tuple[Graph, tuple[int, ...]]:
                 ) from None
             if n < 0 or declared_m < 0:
                 raise ParseError("negative size in problem line", lineno)
+            header_line = lineno
         elif kind == "e":
             if n is None:
                 raise ParseError("edge before problem line", lineno)
@@ -160,8 +162,13 @@ def parse_dimacs(text: str) -> tuple[Graph, tuple[int, ...]]:
         raise ParseError(
             f"problem line declared {declared_m} edges, file has {m}"
         )
-    rows.extend([0] * (n - len(rows)))
-    return Graph._unchecked(rows), tuple(range(1, n + 1))
+    try:
+        rows.extend([0] * (n - len(rows)))
+        external = tuple(range(1, n + 1))
+    except MemoryError:
+        raise ParseError(f"problem line declares {n} vertices, more than fit in memory",
+                         header_line) from None
+    return Graph._unchecked(rows), external
 
 
 def parse_edgelist(text: str) -> tuple[Graph, tuple[int, ...]]:

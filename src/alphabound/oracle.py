@@ -2,8 +2,9 @@
 
 Exact independence number and minimum vertex cover by branch and bound,
 plus augmenting-set checks.  This module is the correctness instrument the
-rest of the package is tested against; it refuses instances above a size
-cap rather than silently taking forever.
+rest of the package is tested against; it refuses instances above a fixed
+size cap (``DEFAULT_CAP`` vertices, 20 for enumeration) rather than
+silently taking forever.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ DEFAULT_CAP = 40
 _ENUMERATION_CAP = 20
 
 
-def exact_alpha(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]:
+def exact_alpha(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact alpha(G) with a witness independent set, by branch and bound.
 
     Branches over the closed neighbourhood of a minimum-degree vertex in the
@@ -36,8 +37,8 @@ def exact_alpha(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]
     ties break toward the lowest vertex id, so the witness is reproducible.
     """
     n = g.n
-    if n > cap:
-        raise ResourceLimitError(f"exact_alpha refuses n={n} > cap={cap}")
+    if n > DEFAULT_CAP:
+        raise ResourceLimitError(f"exact_alpha refuses n={n} > cap={DEFAULT_CAP}")
     if n == 0:
         return 0, ()
     rows = g.adjacency
@@ -85,9 +86,9 @@ def exact_alpha(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]
     return best_size, witness
 
 
-def exact_min_vc(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]:
+def exact_min_vc(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact minimum vertex cover size with witness; the complement of exact_alpha's."""
-    size, ind = exact_alpha(g, cap)
+    size, ind = exact_alpha(g)
     chosen = set(ind)
     cover = tuple(v for v in range(g.n) if v not in chosen)
     if not g.is_vertex_cover(cover):
@@ -95,11 +96,13 @@ def exact_min_vc(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]
     return g.n - size, cover
 
 
-def alpha_by_enumeration(g: Graph, cap: int = _ENUMERATION_CAP) -> tuple[int, tuple[int, ...]]:
+def alpha_by_enumeration(g: Graph) -> tuple[int, tuple[int, ...]]:
     """alpha(G) by checking all 2^n subsets.  The oracle's own cross-check."""
     n = g.n
-    if n > cap:
-        raise ResourceLimitError(f"alpha_by_enumeration refuses n={n} > cap={cap}")
+    if n > _ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"alpha_by_enumeration refuses n={n} > cap={_ENUMERATION_CAP}"
+        )
     rows = g.adjacency
     best_size, best_mask = 0, 0
     for mask in range(1 << n):

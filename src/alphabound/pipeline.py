@@ -144,16 +144,18 @@ def decide(
     )
 
 
-def decide_many(g, node_budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[int, Decision]]:
+def decide_many(g) -> list[tuple[int, Decision]]:
     """Run decide for every valid k (0..(p-1)//2) and check answer monotonicity.
 
     A YES at k asserts alpha <= p - k, which implies YES at every smaller k,
     so the answers must form a YES-prefix; that is checked before returning.
+    Each search gets ``DEFAULT_NODE_BUDGET``; call :func:`decide` per k for
+    another cap.
     """
     p = nonedge_bound(g)
     results: list[tuple[int, Decision]] = []
     for k in range((p - 1) // 2 + 1):
-        results.append((k, decide(g, k, node_budget=node_budget)))
+        results.append((k, decide(g, k)))
     seen_no = False
     for k, decision in results:
         if decision.answer == NO:

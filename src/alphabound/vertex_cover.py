@@ -115,18 +115,17 @@ def vertex_cover_decide(
     return VcOutcome(False, None, nodes)
 
 
-def max_independent_set_at_least(
-    g: Graph, s: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> Optional[tuple[int, ...]]:
+def max_independent_set_at_least(g: Graph, s: int) -> Optional[tuple[int, ...]]:
     """An independent set of size >= s, or None if none exists.
 
     Complementation: an independent set of size s exists iff some vertex
     cover has size n - s.  The returned set (the complement of the found
-    cover) may be larger than s and is re-verified before returning.
+    cover) may be larger than s and is re-verified before returning.  The
+    search gets ``DEFAULT_NODE_BUDGET`` nodes.
     """
     if s < 0:
         raise ValueError(f"target size must be non-negative, got {s}")
-    outcome = vertex_cover_decide(g, g.n - s, node_budget)
+    outcome = vertex_cover_decide(g, g.n - s)
     if not outcome.covered:
         return None
     in_cover = set(outcome.cover)

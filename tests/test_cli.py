@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import alphabound as ab
+from alphabound import cli
 from alphabound.cli import RunReport, main
 from helpers import disjoint_cliques, petersen
 
@@ -65,6 +66,30 @@ def test_decide_skip_bound_steps(c5_path, capsys):
     assert json.loads(out)["result"]["resolved_at"] == "VC_SEARCH"
 
 
+def test_shared_parser_keeps_no_state_between_calls(c5_path, capsys):
+    code, out, _ = run_cli(capsys, "decide", c5_path, "--k", "1",
+                           "--skip-bound-steps", "--node-budget", "7")
+    assert code == 0
+    assert json.loads(out)["parameters"] == {
+        "k": 1, "skip_bound_steps": True, "node_budget": 7,
+    }
+    code, out, _ = run_cli(capsys, "decide", c5_path, "--k", "1")
+    assert code == 0
+    assert json.loads(out)["parameters"] == {
+        "k": 1, "skip_bound_steps": False, "node_budget": ab.DEFAULT_NODE_BUDGET,
+    }
+
+
+def test_main_does_not_rebuild_the_parser(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    code, out, err = run_cli(capsys, "gen", "cycle", "5")
+    assert code == 0 and err == ""
+    assert ab.parse_edgelist(out)[0] == ab.cycle_graph(5)
+
+
 def test_decide_parameter_error_exit_two(tmp_path, capsys):
     path = tmp_path / "k9.col"
     ab.write_graph(ab.complete_graph(9), str(path))
@@ -104,7 +129,10 @@ def test_huge_dimacs_header_exits_two_with_json(tmp_path, capsys):
     path.write_text(f"p edge {2 ** 61} 1\ne 1 2\n")
     code, out, err = run_cli(capsys, "bounds", str(path))
     assert code == 2 and out == ""
-    assert json.loads(err)["error"]["type"] == "MemoryError"
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "ParseError"
+    assert payload["message"].startswith("line 1:")
+    assert f"declares {2 ** 61} vertices" in payload["message"]
 
 
 def test_missing_file_exit_two(capsys):

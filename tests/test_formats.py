@@ -50,6 +50,9 @@ DIMACS_REJECTS = [
     ("c hi\n\np edge 2 1\n  e 1 2  \nx\n", 5, "unknown line type 'x'"),
     # A huge declared n allocates nothing before the file is known valid.
     ("p edge 1000000000000 1\ne 1 2\nx\n", 3, "unknown line type 'x'"),
+    # A valid file whose n cannot be allocated names its problem line.
+    (f"c huge\np edge {2 ** 61} 1\ne 1 2\n", 2,
+     f"problem line declares {2 ** 61} vertices, more than fit in memory"),
 ]
 
 
