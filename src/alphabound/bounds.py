@@ -17,6 +17,15 @@ Three bounds are computed, forming the chain
   satisfies) instead of d + 1.  It costs one union per non-adjacent ordered
   pair plus one sort per vertex.
 
+The screen ``neighborhood_union_lower_bound`` gives p2_lb <= p2 from the
+ascending degree sequence ds alone, so a caller can skip p2 whenever
+p2_lb already exceeds the value it needs.  Vertex v excludes only itself and
+its d_v neighbours, and |N(u) ∪ N(v)| <= d_u + d_v, so v's (i+1)-th smallest
+union is at most d_v + ds[i + d_v + 1].  That bound on v's reach falls as d_v
+rises, so level h >= 2 is reached by the h vertices of lowest degree exactly
+when d + h <= n and d + ds[d + h - 1] + h <= n, where d = ds[h - 1]; the
+condition is monotone in h, so one binary search finds p2_lb.
+
 Everything is exact integer arithmetic; no floating point is involved.
 """
 
@@ -36,6 +45,7 @@ __all__ = [
     "welsh_powell_chromatic_bound",
     "neighborhood_union_sequence",
     "neighborhood_union_bound",
+    "neighborhood_union_lower_bound",
     "bounds_report",
 ]
 
@@ -146,6 +156,25 @@ def neighborhood_union_bound(g: Graph) -> int:
     return _h_index(
         [1 + bisect_right(range(len(seq)), n - 2, key=lambda i: seq[i] + i) for seq in seqs]
     )
+
+
+def neighborhood_union_lower_bound(g: Graph) -> int:
+    """A lower bound on p2 from the degree sequence alone (n=0 gives 0).
+
+    The largest h such that the h vertices of lowest degree each reach level
+    h when every union |N(u) ∪ N(v)| is replaced by its upper bound
+    d_u + d_v.  Costs one degree sort plus O(log n).
+    """
+    n = g.n
+    if n == 0:
+        return 0
+    ds = g.degree_sequence()
+
+    def fails(h: int) -> bool:
+        d = ds[h - 1]
+        return d + h > n or d + ds[d + h - 1] + h > n
+
+    return 1 + bisect_right(range(2, n + 1), False, key=fails)
 
 
 def bounds_report(g: Graph, with_p2: bool = False) -> BoundsReport:

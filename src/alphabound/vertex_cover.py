@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InternalError, ResourceLimitError
+from .errors import InternalError, ParameterError, ResourceLimitError
 from .graph import Graph, iter_bits
 
 __all__ = [
@@ -33,6 +33,12 @@ __all__ = [
 ]
 
 DEFAULT_NODE_BUDGET = 1_000_000
+
+
+def _require_node_budget(node_budget: int) -> None:
+    """A search always visits its root node, so a budget below 1 admits none."""
+    if node_budget < 1:
+        raise ParameterError(f"node_budget must be at least 1, got {node_budget}")
 
 
 @dataclass(frozen=True)
@@ -55,9 +61,11 @@ def vertex_cover_decide(
     ``budget * max_degree`` is closed without branching; such a node holds no
     cover, so the cover found is the same as without the bound and only
     ``nodes_explored`` falls.  Raises ResourceLimitError when the search tree
-    exceeds ``node_budget`` nodes.  A returned cover is re-verified against
-    every edge before the outcome is produced.
+    exceeds ``node_budget`` nodes, and ParameterError when ``node_budget``
+    is below 1.  A returned cover is re-verified against every edge before
+    the outcome is produced.
     """
+    _require_node_budget(node_budget)
     if t < 0:
         return VcOutcome(False, None, 0)
     rows = g.adjacency

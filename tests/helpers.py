@@ -70,24 +70,26 @@ def graphs(draw, max_n: int = 10, min_n: int = 0) -> ab.Graph:
 def reference_union_sequences(g: ab.Graph) -> list[list[int]]:
     """Per vertex u, sorted |N(u) ∪ N(v)| over every non-adjacent v != u."""
     nbrs = [set(g.neighbors(v)) for v in g.vertices()]
+    everyone = set(g.vertices())
     return [
-        sorted(len(nbrs[u] | nbrs[v]) for v in g.vertices() if v != u and v not in nbrs[u])
+        sorted(len(nbrs[u] | nbrs[v]) for v in everyone - nbrs[u] - {u})
         for u in g.vertices()
     ]
 
 
-def reference_union_bound(g: ab.Graph) -> int:
+def reference_union_bound(g: ab.Graph, seqs=None) -> int:
     """The neighbourhood-union bound p2 by its level-scan definition.
 
     The largest k such that at least k vertices v have k <= n - deg(v) and
     seq_v[k - 2] <= n - k, scanning k downward from n; 1 when no k >= 2
-    holds, 0 for n = 0.
+    holds, 0 for n = 0.  ``seqs`` defaults to ``reference_union_sequences(g)``.
     """
     n = g.n
     if n == 0:
         return 0
     degs = g.degrees()
-    seqs = reference_union_sequences(g)
+    if seqs is None:
+        seqs = reference_union_sequences(g)
     for k in range(n, 1, -1):
         count = 0
         for v in range(n):
@@ -96,3 +98,22 @@ def reference_union_bound(g: ab.Graph) -> int:
         if count >= k:
             return k
     return 1
+
+
+def reference_union_lower_bound(g: ab.Graph) -> int:
+    """The degree-only screen on p2 in its per-vertex form.
+
+    Vertex v's reach is at least 1 + #{i : d_v + ds[i + d_v + 1] + i <= n - 2}
+    over the ascending degree sequence ds, counted over every i < n - 1 - d_v;
+    the screen is the h-index of those per-vertex bounds, 0 for n = 0.
+    """
+    n = g.n
+    ds = sorted(g.degrees())
+    reaches = sorted(
+        (
+            1 + sum(1 for i in range(n - 1 - d) if d + ds[i + d + 1] + i <= n - 2)
+            for d in g.degrees()
+        ),
+        reverse=True,
+    )
+    return max((min(h, r) for h, r in enumerate(reaches, 1)), default=0)

@@ -9,12 +9,17 @@ from helpers import (
     graphs,
     petersen,
     reference_union_bound,
+    reference_union_lower_bound,
     reference_union_sequences,
 )
 
 
 def _union_bound_corpus():
-    """Every 6-vertex graph, seeded gnp at densities 0..1, padded tight cores."""
+    """Every 6-vertex graph, seeded gnp at densities 0..1, padded tight cores.
+
+    The cores joined to K_300 and K_1000 are where the degree-only screen on
+    p2 returns 1: each core vertex's degree exceeds half of n.
+    """
     yield from all_labeled_graphs(6)
     for n in (*range(12), 20, 40, 80):
         for prob in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
@@ -23,7 +28,7 @@ def _union_bound_corpus():
     for i, tag in enumerate(ab.FAMILY_TAGS):
         k = int(tag[1])
         core = ab.generate_extremal(tag, ab.MIN_P[k] + 2, "random", i)
-        for c in (0, 1, 5, 40):
+        for c in (0, 1, 5, 40, 300, 1000):
             yield ab.join(ab.complete_graph(c), core)
 
 
@@ -84,9 +89,15 @@ def test_neighborhood_union_bound_values():
 def test_neighborhood_union_bound_and_sequences_are_exact():
     checked = 0
     for g in _union_bound_corpus():
-        assert ab.neighborhood_union_bound(g) == reference_union_bound(g)
         expected = reference_union_sequences(g)
         assert [list(ab.neighborhood_union_sequence(g, u)) for u in g.vertices()] == expected
+        p2 = ab.neighborhood_union_bound(g)
+        assert p2 == reference_union_bound(g, expected)
+        screen = ab.neighborhood_union_lower_bound(g)
+        assert screen <= p2
+        assert screen == reference_union_lower_bound(g)
+        if g.n > 300:
+            assert screen == 1
         checked += 1
     assert checked > 32_768
 

@@ -122,6 +122,15 @@ def test_node_budget_exceeded_exits_two_with_json(tmp_path, capsys):
     assert payload["message"] == "vertex cover search exceeded 1 nodes"
 
 
+def test_node_budget_below_one_exits_two_with_json(c5_path, capsys):
+    # C5 at k = 0 resolves at P1, so no search would ever read the budget.
+    code, out, err = run_cli(capsys, "decide", c5_path, "--k", "0", "--node-budget", "0")
+    assert code == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "ParameterError"
+    assert payload["message"] == "node_budget must be at least 1, got 0"
+
+
 def test_huge_dimacs_header_exits_two_with_json(tmp_path, capsys):
     # The header is valid, so the parser asks for a row list of 2^61 entries;
     # CPython refuses a list that long before it allocates anything.

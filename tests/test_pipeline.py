@@ -1,9 +1,13 @@
 """Staged decision procedure: bounds, kernel, bounded search."""
 
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 
 import alphabound as ab
+from alphabound import pipeline
 from helpers import disjoint_cliques, er_corpus, graphs, petersen
 
 
@@ -65,6 +69,76 @@ def test_parameter_errors():
         ab.decide(ab.cycle_graph(5), -1)
     with pytest.raises(ab.ParameterError):
         ab.decide(ab.complete_graph(9), 1)
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_node_budget_below_one_is_refused(skip):
+    # C9 at k = 1 answers at P2 without a search node, yet the budget is
+    # checked first.
+    with pytest.raises(ab.ParameterError, match="node_budget must be at least 1, got 0"):
+        ab.decide(ab.cycle_graph(9), 1, skip_bound_steps=skip, node_budget=0)
+
+
+def test_bounds_report_of_another_graph_is_refused():
+    c5 = ab.cycle_graph(5)
+    with pytest.raises(ab.ParameterError, match="p=8, p1=7, but the graph has p=3, p1=3"):
+        ab.decide(c5, 0, bounds=ab.bounds_report(petersen()))
+    # K_{1,3} and P_4 share p = 3; alpha(K_{1,3}) = 3 > p - k = 2, so the
+    # P_4 report's p1 = 2 would answer a wrong YES at k = 1.
+    star = ab.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(ab.ParameterError, match="p=3, p1=2, but the graph has p=3, p1=3"):
+        ab.decide(star, 1, bounds=ab.bounds_report(ab.path_graph(4)))
+    handed = ab.bounds_report(c5, with_p2=True)
+    with pytest.raises(ab.ParameterError, match="p2=4, outside the graph's range 1..3"):
+        ab.decide(c5, 1, bounds=replace(handed, p2=4))
+    d = ab.decide(c5, 1, bounds=handed)
+    assert (d.answer, d.resolved_at, d.bounds) == ("YES", "P2_BOUND", handed)
+
+
+def _seeded_graphs(count, seed):
+    """``count`` seeded gnp graphs with n in 3..40 at densities 0.05..0.95."""
+    rng = random.Random(seed)
+    return [ab.gnp(rng.randint(3, 40), rng.uniform(0.05, 0.95), seed=i) for i in range(count)]
+
+
+def test_decide_many_computes_bounds_once_per_graph(monkeypatch):
+    calls = {"bounds_report": 0, "neighborhood_union_bound": 0}
+
+    def counted(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counted(name))
+    corpus = _seeded_graphs(60, seed=3) + [ab.h_np(10, 4), ab.h_np(30, 12)]
+    swept = 0
+    for g in corpus:
+        for name in calls:
+            calls[name] = 0
+        swept += len(ab.decide_many(g)) > 1
+        assert calls["bounds_report"] == 1
+        assert calls["neighborhood_union_bound"] <= 1
+    assert swept > 40
+
+
+def test_screen_never_hides_a_p2_answer():
+    pairs = 0
+    for g in _seeded_graphs(400, seed=9):
+        rep = ab.bounds_report(g, with_p2=True)
+        for k, swept in ab.decide_many(g):
+            d = ab.decide(g, k)
+            target = rep.p - k
+            assert (d.resolved_at == "P2_BOUND") == (rep.p1 > target >= rep.p2)
+            assert (swept.answer, swept.resolved_at, swept.certificate) == (
+                d.answer, d.resolved_at, d.certificate,
+            )
+            pairs += 1
+    assert pairs > 2_000
 
 
 def test_verify_rejects_tampered_certificate():

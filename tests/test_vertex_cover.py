@@ -44,6 +44,15 @@ def test_node_budget_enforced():
         ab.vertex_cover_decide(petersen(), 5, node_budget=1)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_node_budget_below_one_is_refused(budget):
+    # Refused before any work, even where the answer needs no search node.
+    message = f"node_budget must be at least 1, got {budget}"
+    for t in (-1, 4):
+        with pytest.raises(ab.ParameterError, match=message):
+            ab.vertex_cover_decide(ab.cycle_graph(9), t, node_budget=budget)
+
+
 # Covers found by the search before it became an explicit-stack loop with an
 # edge-count bound, with the nodes it explored then: (n, prob, seed) of a
 # ``gnp`` graph -> {t: (cover or None, nodes)}.  They pin the depth-first
