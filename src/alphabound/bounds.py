@@ -106,11 +106,7 @@ def degree_sequence_bound(g: Graph) -> int:
 
 def welsh_powell_chromatic_bound(g: Graph) -> int:
     """Chromatic upper bound max_i min(i, d_i + 1), degrees sorted descending."""
-    return _welsh_powell(g.degrees())
-
-
-def _welsh_powell(degrees: list[int]) -> int:
-    return _h_index([d + 1 for d in degrees])
+    return _h_index([d + 1 for d in g.degrees])
 
 
 def _h_index(values: list[int]) -> int:
@@ -181,7 +177,7 @@ def bounds_report(g: Graph, with_p2: bool = False) -> BoundsReport:
     """Compute the bounds, check the chain ordering, and return the report."""
     p = nonedge_bound(g)
     p1 = degree_sequence_bound(g)
-    wp = _welsh_powell([g.n - 1 - d for d in g.degrees()])
+    wp = _h_index([g.n - d for d in g.degrees])  # complement degree + 1 = n - d
     p2 = neighborhood_union_bound(g) if with_p2 else None
     if g.n > 0:
         if not 1 <= p1 <= p <= g.n:

@@ -141,7 +141,7 @@ def _cmd_kernel(args):
     kr = kernelize(g, args.k)
     kept = _ext((kr.mapping[i] for i in range(kr.n0)), external)
     if args.emit:
-        write_graph(kr.kernel, args.emit, "edgelist", external_ids=kept)
+        write_graph(kr.kernel, args.emit, external_ids=kept)
     result = {
         "p": kr.p,
         "k": kr.k,
@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     ker.add_argument("--k", "-k", type=int, required=True, help="gap below p")
     ker.add_argument(
         "--emit", default=None,
-        help="also write the kernel graph here (edgelist format)",
+        help="also write the kernel graph here, in the format its extension names "
+             "(edge-list only: the kernel keeps the input's vertex labels)",
     )
     ker.set_defaults(handler=_cmd_kernel, command_name="kernel")
 

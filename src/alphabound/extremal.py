@@ -287,7 +287,7 @@ def is_self_kernel(g: Graph, p: int, k: int) -> bool:
     """True when g is its own kernel at (p, k): its counting bound is p and
     every degree is below the peeling threshold n - p + k."""
     threshold = g.n - p + k
-    return nonedge_bound(g) == p and all(d < threshold for d in g.degrees())
+    return nonedge_bound(g) == p and all(d < threshold for d in g.degrees)
 
 
 def enumerate_k1_extremal(p: int) -> dict[str, int]:

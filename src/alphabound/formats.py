@@ -244,7 +244,7 @@ def format_edgelist(
     """
     ids = _check_external_ids(g, external_ids)
     lines = [f"{ids[u]} {ids[v]}" for u, v in g.edges()]
-    lines.extend(str(ids[v]) for v in g.vertices() if g.degree(v) == 0)
+    lines.extend(str(ids[v]) for v, d in enumerate(g.degrees) if d == 0)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -10,7 +10,9 @@ new one, together with an id mapping when vertices are renumbered.
 Rows are validated once, where they enter: ``Graph(rows)`` checks them all,
 ``from_edges`` checks each edge, and the file parsers in ``formats`` check
 each line they read.  Derived graphs and generators are symmetric by
-construction and are built unchecked.
+construction and are built unchecked.  Degrees are counted once, where rows
+enter, on both paths: the one ``bit_count`` per row that gives ``m`` is kept
+as ``degrees``, and no later stage recounts a row.
 
 ``n = 0`` and ``n = 1`` are legal everywhere.
 """
@@ -53,37 +55,40 @@ class Graph:
     """Simple undirected graph over vertices ``0..n-1`` with bit-row adjacency.
 
     ``Graph(rows)`` validates the rows: symmetric, loop-free and confined
-    to ``n`` bits.  ``m`` is half the total popcount.  Instances are
+    to ``n`` bits.  ``degrees[v]`` is the popcount of row ``v``, counted
+    once as the rows enter, and ``m`` is half their sum.  Instances are
     immutable by convention; all fields are read-only data.
     """
 
-    __slots__ = ("n", "m", "adjacency")
+    __slots__ = ("n", "m", "adjacency", "degrees")
 
     def __init__(self, adjacency: Sequence[int]):
         rows = tuple(adjacency)
         n = len(rows)
-        total = 0
         for v, row in enumerate(rows):
             if row < 0 or row >> n:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            total += row.bit_count()
-        if total % 2:
+        if self._fill(rows) % 2:
             raise ValueError("adjacency is not symmetric (odd total popcount)")
         _check_symmetry(rows, n)
-        self.n = n
-        self.m = total // 2
-        self.adjacency = rows
 
     @classmethod
     def _unchecked(cls, adjacency: Iterable[int]) -> "Graph":
         """Wrap rows that are symmetric and loop-free by construction."""
         g = cls.__new__(cls)
-        g.adjacency = tuple(adjacency)
-        g.n = len(g.adjacency)
-        g.m = sum(row.bit_count() for row in g.adjacency) // 2
+        g._fill(tuple(adjacency))
         return g
+
+    def _fill(self, rows: tuple[int, ...]) -> int:
+        """Set every field from ``rows``; returns the total popcount, 2m."""
+        self.adjacency = rows
+        self.n = len(rows)
+        self.degrees = tuple([row.bit_count() for row in rows])
+        total = sum(self.degrees)
+        self.m = total // 2
+        return total
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -105,14 +110,11 @@ class Graph:
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
-        return self.adjacency[v].bit_count()
-
-    def degrees(self) -> list[int]:
-        return [row.bit_count() for row in self.adjacency]
+        return self.degrees[v]
 
     def degree_sequence(self) -> tuple[int, ...]:
         """Degrees sorted ascending (the orientation every bound here uses)."""
-        return tuple(sorted(self.degrees()))
+        return tuple(sorted(self.degrees))
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):

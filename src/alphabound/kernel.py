@@ -68,11 +68,9 @@ def kernelize(g: Graph, k: int) -> KernelResult:
     """
     p = nonedge_bound(g)
     _require_headroom(p, k)
-    n = g.n
-    threshold = n - p + k
-    degrees = g.degrees()
-    keep = [v for v in range(n) if degrees[v] < threshold]
-    removed = tuple(v for v in range(n) if degrees[v] >= threshold)
+    threshold = g.n - p + k
+    keep = [v for v, d in enumerate(g.degrees) if d < threshold]
+    removed = tuple(v for v, d in enumerate(g.degrees) if d >= threshold)
     kernel, mapping = g.induced_subgraph(keep)
     n0 = kernel.n
     return KernelResult(

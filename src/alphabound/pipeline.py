@@ -145,8 +145,8 @@ def decide(
             kernel=kr,
         )
     in_cover = set(outcome.cover)
-    kernel_ind = [v for v in range(kr.n0) if v not in in_cover]
-    original = sorted(kr.mapping[v] for v in kernel_ind)[: target + 1]
+    # Kernel ids and their mapping both ascend, so the witness is sorted.
+    original = [u for v, u in enumerate(kr.mapping) if v not in in_cover][: target + 1]
     if len(original) != target + 1 or not g.is_independent_set(original):
         raise InternalError("kernel witness broke under mapping")
     return Decision(
@@ -154,7 +154,7 @@ def decide(
         resolved_at="VC_SEARCH",
         certificate={
             "type": "independent_set",
-            "vertices": list(original),
+            "vertices": original,
             "size": target + 1,
         },
         bounds=report,

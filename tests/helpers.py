@@ -87,7 +87,7 @@ def reference_union_bound(g: ab.Graph, seqs=None) -> int:
     n = g.n
     if n == 0:
         return 0
-    degs = g.degrees()
+    degs = g.degrees
     if seqs is None:
         seqs = reference_union_sequences(g)
     for k in range(n, 1, -1):
@@ -108,11 +108,11 @@ def reference_union_lower_bound(g: ab.Graph) -> int:
     the screen is the h-index of those per-vertex bounds, 0 for n = 0.
     """
     n = g.n
-    ds = sorted(g.degrees())
+    ds = sorted(g.degrees)
     reaches = sorted(
         (
             1 + sum(1 for i in range(n - 1 - d) if d + ds[i + d + 1] + i <= n - 2)
-            for d in g.degrees()
+            for d in g.degrees
         ),
         reverse=True,
     )

@@ -180,6 +180,18 @@ def test_kernel_command_with_emit(tmp_path, capsys):
     assert back.n == 4 and back.m == 0 and ids == (7, 8, 9, 10)
 
 
+def test_kernel_emit_follows_the_extension(tmp_path, capsys):
+    # DIMACS renumbers vertices 1..n, so it cannot carry the kernel's labels.
+    src = tmp_path / "h.col"
+    ab.write_graph(ab.h_np(12, 5), str(src))
+    for name in ("k.col", "k.unknown"):
+        emitted = tmp_path / name
+        code, _, err = run_cli(capsys, "kernel", str(src), "--k", "1", "--emit", str(emitted))
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "ParameterError"
+        assert not emitted.exists()
+
+
 def test_oracle_command(tmp_path, capsys):
     path = tmp_path / "pet.col"
     ab.write_graph(petersen(), str(path))

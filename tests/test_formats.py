@@ -161,6 +161,10 @@ def _roundtrip_corpus():
             yield ab.gnp(n, prob, seed=n * 10 + int(prob * 10))
     yield ab.disjoint_union(ab.gnp(40, 0.2, seed=3), ab.empty_graph(5))
     yield ab.disjoint_union(ab.empty_graph(3), ab.cycle_graph(6))
+    yield ab.Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (4, 5)])
+    yield ab.cycle_graph(7)
+    yield ab.path_graph(6)
+    yield ab.h_np(9, 3)
 
 
 def test_parsers_round_trip_the_writers():
@@ -173,7 +177,11 @@ def test_parsers_round_trip_the_writers():
             (*ab.parse_edgelist(ab.format_edgelist(g, sparse)), tuple(sparse)),
         ):
             assert parsed == g and (parsed.n, parsed.m) == (g.n, g.m)
-            assert ab.Graph(parsed.adjacency) == parsed
+            again = ab.Graph(parsed.adjacency)
+            assert again == parsed
+            # Every constructor keeps the row popcounts it counted for m.
+            popcounts = tuple(row.bit_count() for row in g.adjacency)
+            assert parsed.degrees == again.degrees == g.degrees == popcounts
             assert ids == expected_ids
 
 

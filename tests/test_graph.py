@@ -16,7 +16,7 @@ def test_from_edges_basics():
     assert g.neighbors(1) == (0, 2)
     assert g.degree(1) == 2 and g.degree(3) == 0
     assert list(g.edges()) == [(0, 1), (1, 2)]
-    assert g.degrees() == [1, 2, 1, 0]
+    assert g.degrees == (1, 2, 1, 0)
     assert g.degree_sequence() == (0, 1, 1, 2)
     assert list(g.vertices()) == [0, 1, 2, 3]
 
@@ -147,7 +147,7 @@ def test_gnp_deterministic_and_extremes():
 def test_gnp_across_tile_boundary():
     g = ab.gnp(1030, 0.01, seed=9)
     assert g.n == 1030
-    assert sum(g.degrees()) == 2 * g.m
+    assert sum(g.degrees) == 2 * g.m
 
 
 def test_iter_bits():
@@ -167,6 +167,7 @@ def assert_revalidates(h):
     """Built unchecked, ``h`` must pass the full ``Graph(rows)`` validation."""
     again = ab.Graph(h.adjacency)
     assert again == h and again.m == h.m
+    assert again.degrees == h.degrees == tuple(row.bit_count() for row in h.adjacency)
 
 
 @given(graphs(max_n=9))
@@ -179,7 +180,7 @@ def test_complement_involution(g):
 
 @given(graphs(max_n=9))
 def test_degree_sum_is_twice_edges(g):
-    assert sum(g.degrees()) == 2 * g.m
+    assert sum(g.degrees) == 2 * g.m
     assert ab.complement_edge_count(g) == g.n * (g.n - 1) // 2 - g.m
 
 
