@@ -14,8 +14,9 @@ Three bounds are computed, forming the chain
 * ``p2`` — neighbourhood-union bound: refines p1 by replacing plain degrees
   with the sizes of unions N(u) ∪ N(v) over non-adjacent pairs: the
   Welsh–Powell max–min taken over each vertex's reach (the highest level it
-  satisfies) instead of d + 1.  It costs one union per non-adjacent ordered
-  pair plus one sort per vertex.
+  satisfies) instead of d + 1.  As |N(u) ∪ N(v)| = d_u + d_v - |N(u) ∩ N(v)|,
+  one matrix product of common-neighbour counts and one sort per vertex give
+  every reach.
 
 The screen ``neighborhood_union_lower_bound`` gives p2_lb <= p2 from the
 ascending degree sequence ds alone, so a caller can skip p2 whenever
@@ -26,7 +27,9 @@ rises, so level h >= 2 is reached by the h vertices of lowest degree exactly
 when d + h <= n and d + ds[d + h - 1] + h <= n, where d = ds[h - 1]; the
 condition is monotone in h, so one binary search finds p2_lb.
 
-Everything is exact integer arithmetic; no floating point is involved.
+p, p1 and the screen are exact integer arithmetic.  p2 is computed in numpy
+floating point, but only on integers of magnitude at most n + 1: float32
+holds those exactly while n < 2^24, and float64 is used above that.
 """
 
 from __future__ import annotations
@@ -35,8 +38,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 
+import numpy as np
+
 from .errors import InternalError
-from .graph import Graph
+from .graph import Graph, _row_unpacker
+
+_UNION_BLOCK = 512  # rows of W per block of the common-neighbour product
 
 __all__ = [
     "BoundsReport",
@@ -55,9 +62,9 @@ class BoundsReport:
     """The three independence bounds plus the complement Welsh–Powell value.
 
     ``p2`` is None when the caller skipped the neighbourhood-union bound,
-    which costs one union per non-adjacent ordered pair plus one sort per
-    vertex.  ``wp_complement`` always equals ``p1``; it is reported so the
-    identity stays observable.
+    which costs one |W| x |W| x n matrix product plus one sort per vertex of
+    W, the vertices that have a non-neighbour.  ``wp_complement`` always
+    equals ``p1``; it is reported so the identity stays observable.
     """
 
     p: int
@@ -143,15 +150,42 @@ def neighborhood_union_bound(g: Graph) -> int:
     Here n_2(v) <= ... <= n_t(v), t = n - deg(v), is v's sorted
     neighbourhood-union sequence; level 1 holds for every vertex.  n_k(v) + k
     strictly increases with k, so v holds every level from 1 to its reach,
-    and the bound is the max–min of the reaches (n=0 gives 0).  Cost: one
-    union per non-adjacent ordered pair plus one sort per vertex.
+    and the bound is the max–min of the reaches (n=0 gives 0).
+
+    Only the set W of vertices with a non-neighbour is unpacked: every
+    non-neighbour of a vertex in W lies in W, and a vertex outside W reaches
+    1.  Cost: one |W| x |W| x n matrix product, one sort per row of W, and
+    O(_UNION_BLOCK x n) extra memory.
     """
     n = g.n
-    seqs = (neighborhood_union_sequence(g, v) for v in range(n))
-    # Level k = i + 2 holds iff seq[i] + i <= n - 2, which picks a prefix of i.
-    return _h_index(
-        [1 + bisect_right(range(len(seq)), n - 2, key=lambda i: seq[i] + i) for seq in seqs]
-    )
+    w = [v for v, d in enumerate(g.degrees) if d < n - 1]
+    size = len(w)
+    unpack = _row_unpacker([g.adjacency[v] for v in w], n)
+    # Every value below is an integer in -1..n + 1, exact in this dtype.
+    dtype = np.float32 if n < 1 << 24 else np.float64
+    deg = np.array([g.degrees[v] for v in w], dtype)
+    # Level i + 2 holds iff the i-th smallest union is <= n - 2 - i.
+    limit = n - 2 - np.arange(size, dtype=dtype)
+    reaches = []
+    for a in range(0, size, _UNION_BLOCK):
+        b = min(a + _UNION_BLOCK, size)
+        left = unpack(a, b)
+        rows = left.astype(dtype)
+        union = np.empty((b - a, size), dtype)
+        for c in range(0, size, _UNION_BLOCK):
+            d = min(c + _UNION_BLOCK, size)
+            right = rows if c == a else unpack(c, d).astype(dtype)
+            union[:, c:d] = rows @ right.T  # common neighbours
+        # |N(u) ∪ N(v)| = (d_u - common) + d_v; both steps stay in 0..n.
+        np.subtract(deg[a:b, None], union, out=union)
+        union += deg
+        # Push neighbours and v itself past every real union, to the row's end.
+        np.putmask(union, left[:, w], n + 1)
+        np.fill_diagonal(union[:, a:b], n + 1)
+        union.sort(axis=1)
+        reaches += (1 + np.count_nonzero(union <= limit, axis=1)).tolist()
+    # The vertices outside W reach 1, which decides only when W is empty.
+    return _h_index(reaches) or min(n, 1)
 
 
 def neighborhood_union_lower_bound(g: Graph) -> int:

@@ -19,7 +19,7 @@ as ``degrees``, and no later stage recounts a row.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -202,23 +202,29 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _check_symmetry(rows: tuple[int, ...], n: int) -> None:
-    # Blockwise packed-transpose comparison; avoids holding the full n x n
-    # boolean matrix for large graphs.
+def _row_unpacker(rows: Sequence[int], n: int) -> Callable[[int, int], np.ndarray]:
+    """Pack ``rows`` once; the result unpacks rows ``a..b-1`` to a 0/1 uint8
+    matrix of shape ``(b - a, n)`` whose column ``j`` holds bit ``j``."""
     nbytes = (n + 7) // 8
     packed = np.frombuffer(
         b"".join(row.to_bytes(nbytes, "little") for row in rows), dtype=np.uint8
-    ).reshape(n, nbytes)
+    ).reshape(len(rows), nbytes)
+    return lambda a, b: np.unpackbits(packed[a:b], axis=1, count=n, bitorder="little")
+
+
+def _check_symmetry(rows: tuple[int, ...], n: int) -> None:
+    # Blockwise transpose comparison; avoids holding the full n x n
+    # boolean matrix for large graphs.
+    unpack = _row_unpacker(rows, n)
     for a in range(0, n, _SYMMETRY_BLOCK):
         b = min(a + _SYMMETRY_BLOCK, n)
-        ra = np.unpackbits(packed[a:b], axis=1, count=n, bitorder="little")
+        ra = unpack(a, b)
         diag = ra[:, a:b]
         if not np.array_equal(diag, diag.T):
             raise ValueError("adjacency not symmetric")
         for c in range(b, n, _SYMMETRY_BLOCK):
             d = min(c + _SYMMETRY_BLOCK, n)
-            rc = np.unpackbits(packed[c:d], axis=1, count=n, bitorder="little")
-            if not np.array_equal(ra[:, c:d], rc[:, a:b].T):
+            if not np.array_equal(ra[:, c:d], unpack(c, d)[:, a:b].T):
                 raise ValueError("adjacency not symmetric")
 
 

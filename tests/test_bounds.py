@@ -102,6 +102,16 @@ def test_neighborhood_union_bound_and_sequences_are_exact():
     assert checked > 32_768
 
 
+def test_neighborhood_union_bound_is_exact_across_blocks(monkeypatch):
+    """A 3-row block puts block boundaries inside every graph with |W| > 3."""
+    monkeypatch.setattr(ab.bounds, "_UNION_BLOCK", 3)
+    checked = 0
+    for g in _union_bound_corpus():
+        assert ab.neighborhood_union_bound(g) == reference_union_bound(g)
+        checked += 1
+    assert checked > 32_768
+
+
 @given(graphs(max_n=9))
 def test_bound_chain_against_oracle(g):
     if g.n == 0:
