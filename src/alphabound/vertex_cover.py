@@ -4,12 +4,17 @@ Decides "does G have a vertex cover of size <= t?" with a classic two-way
 search tree: after exhaustive reductions (drop isolated vertices, take the
 neighbour of a degree-1 vertex, force any vertex of degree > t into the
 cover), branch on a maximum-degree vertex v — either v joins the cover or
-all of N(v) does.  A node is closed without branching when its active
-edges exceed budget x maximum degree, since each cover vertex covers at
-most that many (Buss's counting argument).  The tree explores at most
-2^(t+1) nodes; degree-2 folding and other witness-complicating reductions
-are deliberately left out, so a successful search always carries a
-concrete cover.
+all of N(v) does.  The reductions run off a worklist: a node scans its
+active set once for the degrees, the degree-1 vertices and the edge count,
+and each vertex forced into the cover lowers only its neighbours' degrees.
+A node is closed without branching when its active edges exceed budget x
+maximum degree, since each cover vertex covers at most that many (Buss's
+counting argument), or when a greedy partition of its active set into
+cliques needs more than budget cover vertices, since a cover takes all but
+one vertex of every clique.  So a node costs one scan plus the partition.
+The tree explores at most 2^(t+1) nodes; degree-2 folding and other
+witness-complicating reductions are deliberately left out, so a successful
+search always carries a concrete cover.
 
 The search is one loop over an explicit stack of open nodes, depth-first
 and deterministic: scans run in increasing vertex id and ties break toward
@@ -20,7 +25,7 @@ branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import InternalError, ParameterError, ResourceLimitError
 from .graph import Graph, iter_bits
@@ -50,6 +55,31 @@ class VcOutcome:
     nodes_explored: int
 
 
+def _clique_partition(rows: Sequence[int], active: int) -> Iterator[int]:
+    """Split ``active`` greedily into cliques of the graph, yielding bitmasks.
+
+    Each clique grows from the lowest-id vertex left.  Its candidates are
+    the active vertices adjacent to every member, and it adds the candidate
+    with the most neighbours among them (ties to the lowest id) until none
+    is left.  A cover of the active graph takes all but one vertex of each
+    clique, so the sum of ``|C| - 1`` over the parts is a lower bound on its
+    size.
+    """
+    while active:
+        part = active & -active
+        cand = rows[part.bit_length() - 1] & active
+        while cand:
+            best, u = -1, -1
+            for w in iter_bits(cand):
+                c = (rows[w] & cand).bit_count()
+                if c > best:
+                    best, u = c, w
+            part |= 1 << u
+            cand &= rows[u]
+        active ^= part
+        yield part
+
+
 def vertex_cover_decide(
     g: Graph, t: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> VcOutcome:
@@ -57,20 +87,25 @@ def vertex_cover_decide(
 
     ``t < 0`` is never coverable (covers have non-negative size, edgeless or
     not).  The search keeps its open nodes on an explicit stack, so its depth
-    is limited by memory alone.  A node whose active edges exceed
-    ``budget * max_degree`` is closed without branching; such a node holds no
-    cover, so the cover found is the same as without the bound and only
-    ``nodes_explored`` falls.  Raises ResourceLimitError when the search tree
-    exceeds ``node_budget`` nodes, and ParameterError when ``node_budget``
-    is below 1.  A returned cover is re-verified against every edge before
-    the outcome is produced.
+    is limited by memory alone.  Each node scans its active set once for the
+    degrees, the degree-1 vertices and the edge count; every vertex the
+    reductions force into the cover then lowers only its neighbours'
+    degrees.  A node is closed without branching when its active edges
+    exceed ``budget * max_degree``, or when a greedy partition of its active
+    set into cliques needs more than ``budget`` cover vertices (all but one
+    of each clique).  A closed node holds no cover, so the cover found is
+    the same as without these bounds and only ``nodes_explored`` falls.  A
+    node costs one scan, its reductions and the partition.  Raises
+    ResourceLimitError when the search tree exceeds ``node_budget`` nodes,
+    and ParameterError when ``node_budget`` is below 1.  A returned cover is
+    re-verified against every edge before the outcome is produced.
     """
     _require_node_budget(node_budget)
     if t < 0:
         return VcOutcome(False, None, 0)
-    rows = g.adjacency
+    n, rows = g.n, g.adjacency
     nodes = 0
-    stack = [((1 << g.n) - 1, t, 0)]  # open nodes: (active, budget, cover)
+    stack = [((1 << n) - 1, t, 0)]  # open nodes: (active, budget, cover)
     while stack:
         active, budget, cover = stack.pop()
         nodes += 1
@@ -78,45 +113,64 @@ def vertex_cover_decide(
             raise ResourceLimitError(
                 f"vertex cover search exceeded {node_budget} nodes"
             )
-        while True:
-            best_v = -1
-            best_deg = 0
-            leaf = -1
-            deg_sum = 0
-            for v in iter_bits(active):
-                deg = (rows[v] & active).bit_count()
-                if deg == 0:
-                    active ^= 1 << v  # isolated: irrelevant to any cover
-                    continue
-                deg_sum += deg
-                if deg == 1 and leaf < 0:
-                    leaf = v
-                if deg > best_deg:
-                    best_deg, best_v = deg, v
-            if best_deg == 0 or budget <= 0:
-                break
-            if leaf >= 0:
+        # deg[v] is v's degree among the active vertices (0 once v leaves,
+        # so max and index give the lowest-id maximum), leaves the degree-1
+        # vertices as a bitmask, deg_sum twice the active edges.
+        deg = [0] * n
+        leaves = 0
+        deg_sum = 0
+        for v in iter_bits(active):
+            d = (rows[v] & active).bit_count()
+            if d == 0:
+                active ^= 1 << v  # isolated: irrelevant to any cover
+                continue
+            deg[v] = d
+            deg_sum += d
+            if d == 1:
+                leaves |= 1 << v
+        while deg_sum and budget > 0:
+            if leaves:
                 # Some optimum takes the neighbour of a degree-1 vertex.
-                w = (rows[leaf] & active).bit_length() - 1
-                cover |= 1 << w
-                active &= ~((1 << w) | (1 << leaf))
-                budget -= 1
-            elif best_deg > budget:
-                # v has more neighbours than budget: v must join the cover.
-                cover |= 1 << best_v
-                active ^= 1 << best_v
-                budget -= 1
+                leaf = (leaves & -leaves).bit_length() - 1
+                x = (rows[leaf] & active).bit_length() - 1
             else:
-                break
-        if best_deg == 0:  # edgeless; budget >= 0 throughout
+                best_deg = max(deg)
+                if best_deg <= budget:
+                    break
+                # The lowest-id vertex of maximum degree has more neighbours
+                # than budget: it must join the cover.
+                x = deg.index(best_deg)
+            bit = 1 << x
+            cover |= bit
+            active ^= bit
+            leaves &= ~bit
+            deg_sum -= 2 * deg[x]
+            deg[x] = 0
+            budget -= 1
+            for u in iter_bits(rows[x] & active):
+                d = deg[u] = deg[u] - 1
+                if d == 0:  # u was a leaf of x; it leaves both masks
+                    active ^= 1 << u
+                    leaves ^= 1 << u
+                elif d == 1:
+                    leaves |= 1 << u
+        if not deg_sum:  # edgeless; budget >= 0 throughout
             found = tuple(iter_bits(cover))
             if len(found) > t or not g.is_vertex_cover(found):
                 raise InternalError(f"search result is not a vertex cover of size <= {t}")
             return VcOutcome(True, found, nodes)
         # At most ``budget`` cover vertices remain, each covering at most
-        # best_deg of the deg_sum / 2 active edges.
-        if deg_sum > 2 * budget * best_deg:
+        # best_deg of the deg_sum / 2 active edges (none when budget is 0).
+        if budget == 0 or deg_sum > 2 * budget * best_deg:
             continue
+        excess = 0
+        for part in _clique_partition(rows, active):
+            excess += part.bit_count() - 1
+            if excess > budget:
+                break
+        if excess > budget:
+            continue
+        best_v = deg.index(best_deg)
         nv = rows[best_v] & active
         stack.append((active & ~(nv | (1 << best_v)), budget - nv.bit_count(), cover | nv))
         stack.append((active & ~(1 << best_v), budget - 1, cover | (1 << best_v)))

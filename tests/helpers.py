@@ -117,3 +117,56 @@ def reference_union_lower_bound(g: ab.Graph) -> int:
         reverse=True,
     )
     return max((min(h, r) for h, r in enumerate(reaches, 1)), default=0)
+
+
+def reference_vertex_cover_decide(g: ab.Graph, t: int) -> ab.VcOutcome:
+    """The cover search as it stood before worklist reductions and clique pruning.
+
+    Each reduction rescans the whole active set; a node is closed only by
+    the edge-count bound.  Same depth-first order (lowest-id ties, "take v"
+    first), so it finds the same first cover in at least as many nodes.
+    """
+    if t < 0:
+        return ab.VcOutcome(False, None, 0)
+    rows = g.adjacency
+    nodes = 0
+    stack = [((1 << g.n) - 1, t, 0)]
+    while stack:
+        active, budget, cover = stack.pop()
+        nodes += 1
+        while True:
+            best_v = -1
+            best_deg = 0
+            leaf = -1
+            deg_sum = 0
+            for v in ab.iter_bits(active):
+                deg = (rows[v] & active).bit_count()
+                if deg == 0:
+                    active ^= 1 << v
+                    continue
+                deg_sum += deg
+                if deg == 1 and leaf < 0:
+                    leaf = v
+                if deg > best_deg:
+                    best_deg, best_v = deg, v
+            if best_deg == 0 or budget <= 0:
+                break
+            if leaf >= 0:
+                w = (rows[leaf] & active).bit_length() - 1
+                cover |= 1 << w
+                active &= ~((1 << w) | (1 << leaf))
+                budget -= 1
+            elif best_deg > budget:
+                cover |= 1 << best_v
+                active ^= 1 << best_v
+                budget -= 1
+            else:
+                break
+        if best_deg == 0:
+            return ab.VcOutcome(True, tuple(ab.iter_bits(cover)), nodes)
+        if deg_sum > 2 * budget * best_deg:
+            continue
+        nv = rows[best_v] & active
+        stack.append((active & ~(nv | (1 << best_v)), budget - nv.bit_count(), cover | nv))
+        stack.append((active & ~(1 << best_v), budget - 1, cover | (1 << best_v)))
+    return ab.VcOutcome(False, None, nodes)

@@ -1,11 +1,21 @@
 """Bounded-budget vertex-cover search."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import alphabound as ab
-from helpers import graphs, petersen
+from alphabound.vertex_cover import _clique_partition
+from helpers import (
+    all_labeled_graphs,
+    disjoint_cliques,
+    er_corpus,
+    graphs,
+    petersen,
+    reference_vertex_cover_decide,
+)
 
 
 def test_basic_outcomes():
@@ -38,7 +48,8 @@ def test_node_budget_enforced():
     assert ab.vertex_cover_decide(ab.cycle_graph(9), 4, node_budget=1) == ab.VcOutcome(
         False, None, 1
     )
-    # Petersen at t = 5 (15 edges <= 5 x 3) branches and explores 5 nodes.
+    # Petersen at t = 5 (15 edges <= 5 x 3, clique excess 5 <= 5) branches
+    # and explores 5 nodes.
     assert ab.vertex_cover_decide(petersen(), 5) == ab.VcOutcome(False, None, 5)
     with pytest.raises(ab.ResourceLimitError, match="exceeded 1 nodes"):
         ab.vertex_cover_decide(petersen(), 5, node_budget=1)
@@ -88,6 +99,74 @@ def test_frozen_covers(spec):
         out = ab.vertex_cover_decide(g, t)
         assert (out.covered, out.cover) == (cover is not None, cover)
         assert out.nodes_explored <= nodes
+
+
+def _same_search(g, t):
+    out = ab.vertex_cover_decide(g, t)
+    ref = reference_vertex_cover_decide(g, t)
+    assert (out.covered, out.cover) == (ref.covered, ref.cover), (g.adjacency, t)
+    assert out.nodes_explored <= ref.nodes_explored, (g.adjacency, t)
+    return out
+
+
+def test_matches_the_rescanning_search_on_every_small_graph():
+    for n in range(6):
+        for g in all_labeled_graphs(n):
+            for t in range(-1, n + 1):
+                _same_search(g, t)
+
+
+def test_matches_the_rescanning_search_on_seeded_gnp():
+    # Every t up to the smallest that covers, and two past it.
+    densities = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7)
+    specs = [(n, prob) for n in range(8, 41, 4) for prob in densities for _ in range(2)]
+    for seed, (n, prob) in enumerate(specs):
+        g = ab.gnp(n, prob, seed=seed)
+        t = 0
+        while not _same_search(g, t).covered:
+            t += 1
+        _same_search(g, t + 1)
+        _same_search(g, t + 2)
+
+
+def test_long_path_takes_its_odd_vertices_at_the_root():
+    # Leaf reductions alone: each taken vertex lowers only its two neighbours.
+    out = ab.vertex_cover_decide(ab.path_graph(3001), 1500)
+    assert out == ab.VcOutcome(True, tuple(range(1, 3001, 2)), 1)
+
+
+def _partition(g):
+    return list(_clique_partition(g.adjacency, (1 << g.n) - 1))
+
+
+def _excess(parts):
+    return sum(part.bit_count() - 1 for part in parts)
+
+
+def test_clique_partition_covers_the_active_set_with_cliques():
+    rng = random.Random(3)
+    for g in er_corpus((0, 1, 4, 8, 12, 16, 20), per_density=1, seed=5):
+        for active in ((1 << g.n) - 1, rng.getrandbits(g.n)):
+            parts = list(_clique_partition(g.adjacency, active))
+            assert all(parts), "an empty part"
+            union = 0
+            for part in parts:
+                assert not union & part, "parts overlap"
+                union |= part
+                for v in ab.iter_bits(part):
+                    assert part & ~(1 << v) & ~g.adjacency[v] == 0, "not a clique"
+            assert union == active
+        assert _excess(_partition(g)) <= ab.exact_min_vc(g)[0]
+
+
+def test_clique_partition_excess_values():
+    for n in range(9):
+        assert _excess(_partition(ab.complete_graph(n))) == max(n - 1, 0)
+    quads = _partition(disjoint_cliques(5, 4))
+    assert quads == [0b1111 << (4 * c) for c in range(5)]
+    assert _excess(quads) == 15
+    # Petersen is triangle-free: the parts are a perfect matching.
+    assert _excess(_partition(petersen())) == 5
 
 
 @given(graphs(max_n=8), st.integers(min_value=-1, max_value=9))
