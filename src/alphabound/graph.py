@@ -14,6 +14,11 @@ construction and are built unchecked.  Degrees are counted once, where rows
 enter, on both paths: the one ``bit_count`` per row that gives ``m`` is kept
 as ``degrees``, and no later stage recounts a row.
 
+A graph also carries two private memo slots, ``_bounds`` (its bounds report
+without p2) and ``_p2``, both None until ``pipeline.decide``, their one
+reader and writer, fills them.  They hold facts of the rows alone, so a
+second decision on the same graph reuses them whatever its k.
+
 ``n = 0`` and ``n = 1`` are legal everywhere.
 """
 
@@ -57,10 +62,10 @@ class Graph:
     ``Graph(rows)`` validates the rows: symmetric, loop-free and confined
     to ``n`` bits.  ``degrees[v]`` is the popcount of row ``v``, counted
     once as the rows enter, and ``m`` is half their sum.  Instances are
-    immutable by convention; all fields are read-only data.
+    immutable by convention; all public fields are read-only data.
     """
 
-    __slots__ = ("n", "m", "adjacency", "degrees")
+    __slots__ = ("n", "m", "adjacency", "degrees", "_bounds", "_p2")
 
     def __init__(self, adjacency: Sequence[int]):
         rows = tuple(adjacency)
@@ -88,6 +93,7 @@ class Graph:
         self.degrees = tuple([row.bit_count() for row in rows])
         total = sum(self.degrees)
         self.m = total // 2
+        self._bounds = self._p2 = None
         return total
 
     @classmethod

@@ -5,7 +5,7 @@ Stages, cheapest first; the first conclusive stage answers:
 1. compute the counting bound p and the degree-sequence bound p1;
 2. p1 <= p - k            -> YES            (resolved_at P1_BOUND)
 3. compute the neighbourhood-union bound p2, unless the degree-only screen
-   p2_lb <= p2 already exceeds p - k or a handed-down report carries it;
+   p2_lb <= p2 already exceeds p - k;
 4. p2 <= p - k            -> YES            (resolved_at P2_BOUND)
 5. peel to the kernel; if it cannot hold p - k + 1 independent vertices
    the answer is YES      (resolved_at KERNEL_TRIVIAL); otherwise run the
@@ -15,6 +15,12 @@ Stages, cheapest first; the first conclusive stage answers:
 
 Bounds can only ever produce YES; every NO carries a witness that is
 re-checked against the input graph before the decision is returned.
+
+p, p1 and p2 are facts of the graph alone; only the target p - k depends on
+k.  So ``decide`` keeps them on the graph object, in its private ``_bounds``
+(the report without p2) and ``_p2`` slots, and a later call on the same
+object reuses them.  Nothing else reads these slots: ``verify_decision``
+recomputes every bound it checks.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .bounds import (
     neighborhood_union_lower_bound,
     nonedge_bound,
 )
-from .errors import InternalError, ParameterError
+from .errors import InternalError
 from .kernel import KernelResult, _require_headroom, kernelize
 from .vertex_cover import DEFAULT_NODE_BUDGET, _require_node_budget, vertex_cover_decide
 
@@ -56,9 +62,10 @@ class Decision:
                        p - k + 1 of them, independent — re-verified)
 
     ``bounds.p2`` is None when stage 2 already answered, when stages 2-4
-    were skipped, or when the screen showed p2 > p - k without computing it;
-    a report handed down through ``decide(..., bounds=...)`` keeps the p2 it
-    carries.  ``kernel`` is None unless stage 5 ran.
+    were skipped, or when the screen showed p2 > p - k without computing it,
+    even if an earlier call on the same graph computed p2.  So a decision
+    equals the one a fresh copy of the graph gives.  ``kernel`` is None
+    unless stage 5 ran.
     """
 
     answer: str
@@ -73,26 +80,19 @@ def decide(
     k: int,
     skip_bound_steps: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    *,
-    bounds: Optional[BoundsReport] = None,
 ) -> Decision:
     """Decide alpha(G) <= p - k.  Requires k >= 0 and p >= 2k + 1.
 
     ``skip_bound_steps`` is a diagnostic switch that jumps straight to the
     kernel stage; it never changes the answer, only ``resolved_at``.
-    ``bounds`` is a report already computed for ``g``, such as an earlier
-    ``Decision.bounds``, so that a p2 found at one k serves the next.  Its
-    p and p1 are recomputed, and a p2 it carries must lie between the
-    screen and p1; that p2 is then trusted to be ``g``'s, since checking it
-    costs as much as computing it.  ParameterError, before any work, when
-    the report fails these checks or ``node_budget`` is below 1.
+    The bounds report is computed on the first call on ``g`` and p2 the
+    first time the screen lets it answer; both are kept on ``g`` for later
+    calls.  ParameterError, before any work, when ``node_budget`` is below 1.
     """
     _require_node_budget(node_budget)
-    if bounds is None:
-        report = bounds_report(g)
-    else:
-        _check_report(g, bounds)
-        report = bounds
+    if g._bounds is None:
+        g._bounds = bounds_report(g)
+    report = g._bounds
     p, p1 = report.p, report.p1
     _require_headroom(p, k)
     target = p - k
@@ -106,19 +106,21 @@ def decide(
                 bounds=report,
                 kernel=None,
             )
-        if report.p2 is None and neighborhood_union_lower_bound(g) <= target:
-            p2 = neighborhood_union_bound(g)
-            if p2 > p1:
-                raise InternalError(f"bound chain broken: p2={p2}, p1={p1}")
-            report = replace(report, p2=p2)
-        if report.p2 is not None and report.p2 <= target:
-            return Decision(
-                answer=YES,
-                resolved_at="P2_BOUND",
-                certificate={"type": "bound", "bound": "p2", "value": report.p2},
-                bounds=report,
-                kernel=None,
-            )
+        if neighborhood_union_lower_bound(g) <= target:
+            if g._p2 is None:
+                p2 = neighborhood_union_bound(g)
+                if p2 > p1:
+                    raise InternalError(f"bound chain broken: p2={p2}, p1={p1}")
+                g._p2 = p2
+            report = replace(report, p2=g._p2)
+            if g._p2 <= target:
+                return Decision(
+                    answer=YES,
+                    resolved_at="P2_BOUND",
+                    certificate={"type": "bound", "bound": "p2", "value": g._p2},
+                    bounds=report,
+                    kernel=None,
+                )
 
     kr = kernelize(g, k)
     if kr.trivially_yes:
@@ -162,39 +164,16 @@ def decide(
     )
 
 
-def _check_report(g, report: BoundsReport) -> None:
-    """Refuse a handed-down report whose cheaply computed parts are not ``g``'s."""
-    p, p1 = nonedge_bound(g), degree_sequence_bound(g)
-    if (report.p, report.p1) != (p, p1):
-        raise ParameterError(
-            f"bounds report has p={report.p}, p1={report.p1}, "
-            f"but the graph has p={p}, p1={p1}"
-        )
-    if report.p2 is not None:
-        p2_lb = neighborhood_union_lower_bound(g)
-        if not p2_lb <= report.p2 <= p1:
-            raise ParameterError(
-                f"bounds report has p2={report.p2}, outside the graph's range {p2_lb}..{p1}"
-            )
-
-
 def decide_many(g) -> list[tuple[int, Decision]]:
     """Run decide for every valid k (0..(p-1)//2) and check answer monotonicity.
 
     A YES at k asserts alpha <= p - k, which implies YES at every smaller k,
     so the answers must form a YES-prefix; that is checked before returning.
     Each search gets ``DEFAULT_NODE_BUDGET``; call :func:`decide` per k for
-    another cap.  The bounds are computed once, and each decision's report
-    is handed to the next, so p2 is computed at most once per graph: a
-    decision may carry a p2 found at an earlier k, and ``bounds.p2`` stays
-    None until some k passes P1 and the screen cannot rule p2 out.
+    another cap.  Each entry is ``decide(g, k)``, so ``g`` keeps its bounds
+    across the sweep: they are computed once and p2 at most once per graph.
     """
-    report = bounds_report(g)
-    results: list[tuple[int, Decision]] = []
-    for k in range((report.p - 1) // 2 + 1):
-        decision = decide(g, k, bounds=report)
-        report = decision.bounds
-        results.append((k, decision))
+    results = [(k, decide(g, k)) for k in range((nonedge_bound(g) - 1) // 2 + 1)]
     seen_no = False
     for k, decision in results:
         if decision.answer == NO:

@@ -68,13 +68,16 @@ def graphs(draw, max_n: int = 10, min_n: int = 0) -> ab.Graph:
 
 
 def reference_union_sequences(g: ab.Graph) -> list[list[int]]:
-    """Per vertex u, sorted |N(u) ∪ N(v)| over every non-adjacent v != u."""
-    nbrs = [set(g.neighbors(v)) for v in g.vertices()]
-    everyone = set(g.vertices())
-    return [
-        sorted(len(nbrs[u] | nbrs[v]) for v in everyone - nbrs[u] - {u})
-        for u in g.vertices()
-    ]
+    """Per vertex u, sorted |N(u) ∪ N(v)| over every non-adjacent v != u.
+
+    Only the vertices that have a non-neighbour get a neighbour set: each of
+    their non-neighbours has one too, and every other sequence is empty.
+    """
+    nbrs = {v: set(g.neighbors(v)) for v in g.vertices() if g.degrees[v] < g.n - 1}
+    seqs: list[list[int]] = [[] for _ in g.vertices()]
+    for u, nu in nbrs.items():
+        seqs[u] = sorted(len(nu | nbrs[v]) for v in nbrs.keys() - nu - {u})
+    return seqs
 
 
 def reference_union_bound(g: ab.Graph, seqs=None) -> int:

@@ -32,3 +32,9 @@ def test_only_the_search_entry_points_take_a_node_budget():
     # The five whose cap or node budget became a constant.
     assert {"exact_alpha", "exact_min_vc", "alpha_by_enumeration", "decide_many",
             "max_independent_set_at_least"} <= set(signatures)
+
+
+def test_decide_takes_no_bounds_report():
+    assert list(inspect.signature(ab.decide).parameters) == [
+        "g", "k", "skip_bound_steps", "node_budget",
+    ]

@@ -79,22 +79,6 @@ def test_node_budget_below_one_is_refused(skip):
         ab.decide(ab.cycle_graph(9), 1, skip_bound_steps=skip, node_budget=0)
 
 
-def test_bounds_report_of_another_graph_is_refused():
-    c5 = ab.cycle_graph(5)
-    with pytest.raises(ab.ParameterError, match="p=8, p1=7, but the graph has p=3, p1=3"):
-        ab.decide(c5, 0, bounds=ab.bounds_report(petersen()))
-    # K_{1,3} and P_4 share p = 3; alpha(K_{1,3}) = 3 > p - k = 2, so the
-    # P_4 report's p1 = 2 would answer a wrong YES at k = 1.
-    star = ab.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(ab.ParameterError, match="p=3, p1=2, but the graph has p=3, p1=3"):
-        ab.decide(star, 1, bounds=ab.bounds_report(ab.path_graph(4)))
-    handed = ab.bounds_report(c5, with_p2=True)
-    with pytest.raises(ab.ParameterError, match="p2=4, outside the graph's range 1..3"):
-        ab.decide(c5, 1, bounds=replace(handed, p2=4))
-    d = ab.decide(c5, 1, bounds=handed)
-    assert (d.answer, d.resolved_at, d.bounds) == ("YES", "P2_BOUND", handed)
-
-
 def _seeded_graphs(count, seed):
     """``count`` seeded gnp graphs with n in 3..40 at densities 0.05..0.95."""
     rng = random.Random(seed)
@@ -123,7 +107,45 @@ def test_decide_many_computes_bounds_once_per_graph(monkeypatch):
         swept += len(ab.decide_many(g)) > 1
         assert calls["bounds_report"] == 1
         assert calls["neighborhood_union_bound"] <= 1
+        # The graph keeps its bounds: a second sweep computes none of them.
+        for name in calls:
+            calls[name] = 0
+        ab.decide_many(g)
+        assert calls == {"bounds_report": 0, "neighborhood_union_bound": 0}
     assert swept > 40
+
+
+def test_decisions_equal_those_of_a_fresh_copy():
+    hidden = 0
+    for g in _seeded_graphs(150, seed=5) + [ab.h_np(10, 4), ab.cycle_graph(5), petersen()]:
+        swept = ab.decide_many(g)
+        fresh = [(k, ab.decide(ab.Graph(g.adjacency), k)) for k, _ in swept]
+        assert swept == fresh
+        # Visited from the largest k down, p2 is found early and kept on the
+        # graph, yet each decision shows it only where a fresh call does:
+        # past P1, where the screen rules p2 out, the report stays without it.
+        h = ab.Graph(g.adjacency)
+        backwards = [(k, ab.decide(h, k)) for k, _ in reversed(swept)]
+        assert backwards[::-1] == fresh
+        hidden += sum(
+            h._p2 is not None and d.resolved_at != "P1_BOUND" and d.bounds.p2 is None
+            for _, d in fresh
+        )
+    assert hidden > 100
+
+
+def test_verify_decision_does_not_trust_the_memo():
+    c5 = ab.cycle_graph(5)
+    assert ab.decide(c5, 1).resolved_at == "P2_BOUND"
+    assert (c5._bounds.p1, c5._p2) == (3, 2)
+    c5._p2 = 1
+    d = ab.decide(c5, 1)
+    assert (d.resolved_at, d.certificate["value"]) == ("P2_BOUND", 1)
+    assert not ab.verify_decision(c5, 1, d)
+    c5._bounds = replace(c5._bounds, p1=2)
+    d = ab.decide(c5, 1)
+    assert (d.resolved_at, d.certificate["value"]) == ("P1_BOUND", 2)
+    assert not ab.verify_decision(c5, 1, d)
 
 
 def test_screen_never_hides_a_p2_answer():
