@@ -20,7 +20,7 @@ p, p1 and p2 are facts of the graph alone; only the target p - k depends on
 k.  So ``decide`` keeps them on the graph object, in its private ``_bounds``
 (the report without p2) and ``_p2`` slots, and a later call on the same
 object reuses them.  Nothing else reads these slots: ``verify_decision``
-recomputes every bound it checks.
+re-derives each certificate from the graph alone and compares it whole.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = ["Decision", "decide", "decide_many", "verify_decision"]
 
 YES = "YES"
 NO = "NO"
+_BOUND_NAMES = {"P1_BOUND": "p1", "P2_BOUND": "p2"}
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,9 @@ class Decision:
                        "size": int}   (vertices in input ids, exactly
                        p - k + 1 of them, independent — re-verified)
 
+    :func:`verify_decision` accepts each shape only at its own stage, and every
+    field but ``nodes_explored`` only as the graph gives it afresh.
+
     ``bounds.p2`` is None when stage 2 already answered, when stages 2-4
     were skipped, or when the screen showed p2 > p - k without computing it,
     even if an earlier call on the same graph computed p2.  So a decision
@@ -73,6 +77,19 @@ class Decision:
     certificate: dict
     bounds: BoundsReport
     kernel: Optional[KernelResult]
+
+
+def _yes_certificate(stage: str, value: int, nodes: Optional[int] = None) -> dict:
+    """The YES certificate of ``stage``: its bound, its n0 or its cover budget."""
+    if stage in _BOUND_NAMES:
+        return {"type": "bound", "bound": _BOUND_NAMES[stage], "value": value}
+    if stage == "KERNEL_TRIVIAL":
+        return {"type": "kernel_trivial", "n0": value}
+    return {"type": "search_exhausted", "cover_budget": value, "nodes_explored": nodes}
+
+
+def _no_certificate(vertices: list[int], size: int) -> dict:
+    return {"type": "independent_set", "vertices": vertices, "size": size}
 
 
 def decide(
@@ -97,15 +114,12 @@ def decide(
     _require_headroom(p, k)
     target = p - k
 
+    def yes(stage, value, kernel=None, nodes=None):  # ``report`` as of the call
+        return Decision(YES, stage, _yes_certificate(stage, value, nodes), report, kernel)
+
     if not skip_bound_steps:
         if p1 <= target:
-            return Decision(
-                answer=YES,
-                resolved_at="P1_BOUND",
-                certificate={"type": "bound", "bound": "p1", "value": p1},
-                bounds=report,
-                kernel=None,
-            )
+            return yes("P1_BOUND", p1)
         if neighborhood_union_lower_bound(g) <= target:
             if g._p2 is None:
                 p2 = neighborhood_union_bound(g)
@@ -114,54 +128,22 @@ def decide(
                 g._p2 = p2
             report = replace(report, p2=g._p2)
             if g._p2 <= target:
-                return Decision(
-                    answer=YES,
-                    resolved_at="P2_BOUND",
-                    certificate={"type": "bound", "bound": "p2", "value": g._p2},
-                    bounds=report,
-                    kernel=None,
-                )
+                return yes("P2_BOUND", g._p2)
 
     kr = kernelize(g, k)
     if kr.trivially_yes:
-        return Decision(
-            answer=YES,
-            resolved_at="KERNEL_TRIVIAL",
-            certificate={"type": "kernel_trivial", "n0": kr.n0},
-            bounds=report,
-            kernel=kr,
-        )
+        return yes("KERNEL_TRIVIAL", kr.n0, kr)
     # An independent set of size target + 1 in the kernel exists iff some
     # vertex cover fits the budget n0 - (target + 1) = budget_t.
     outcome = vertex_cover_decide(kr.kernel, kr.budget_t, node_budget)
     if not outcome.covered:
-        return Decision(
-            answer=YES,
-            resolved_at="VC_SEARCH",
-            certificate={
-                "type": "search_exhausted",
-                "cover_budget": kr.budget_t,
-                "nodes_explored": outcome.nodes_explored,
-            },
-            bounds=report,
-            kernel=kr,
-        )
+        return yes("VC_SEARCH", kr.budget_t, kr, outcome.nodes_explored)
     in_cover = set(outcome.cover)
     # Kernel ids and their mapping both ascend, so the witness is sorted.
     original = [u for v, u in enumerate(kr.mapping) if v not in in_cover][: target + 1]
     if len(original) != target + 1 or not g.is_independent_set(original):
         raise InternalError("kernel witness broke under mapping")
-    return Decision(
-        answer=NO,
-        resolved_at="VC_SEARCH",
-        certificate={
-            "type": "independent_set",
-            "vertices": original,
-            "size": target + 1,
-        },
-        bounds=report,
-        kernel=kr,
-    )
+    return Decision(NO, "VC_SEARCH", _no_certificate(original, target + 1), report, kr)
 
 
 def decide_many(g) -> list[tuple[int, Decision]]:
@@ -184,37 +166,35 @@ def decide_many(g) -> list[tuple[int, Decision]]:
 
 
 def verify_decision(g, k: int, decision: Decision) -> bool:
-    """Re-check a decision's certificate against the input graph.
+    """Re-check a decision against the input graph, never its kept bounds.
 
-    NO-certificates are verified fully (independence, size, range).  Bound
-    and trivial-kernel YES certificates are recomputed.  An exhausted-search
-    YES is an attestation, not a checkable object; it verifies structurally
-    (budget bookkeeping) only.
+    False, never ParameterError, when k fails k >= 0 and p >= 2k + 1, and
+    for an answer other than YES or NO.  A YES certificate is re-derived
+    for its stage and compared whole: p1 or p2 (at most p - k), the n0 of a
+    trivial kernel, or the cover budget of a non-trivial one.  The one field
+    taken on trust is ``nodes_explored``, which must be an int >= 1.  A NO
+    is accepted only at VC_SEARCH, with p - k + 1 distinct int vertices of
+    g, independent in it.
     """
     p = nonedge_bound(g)
+    if not (k >= 0 and p >= 2 * k + 1) or decision.answer not in (YES, NO):
+        return False
     target = p - k
-    cert = decision.certificate
+    stage, cert = decision.resolved_at, decision.certificate
     if decision.answer == NO:
-        if cert.get("type") != "independent_set":
-            return False
-        vertices = cert.get("vertices", [])
-        return (
-            len(vertices) == len(set(vertices)) == target + 1
-            and cert.get("size") == target + 1
-            and all(0 <= v < g.n for v in vertices)
-            and g.is_independent_set(vertices)
-        )
-    if decision.resolved_at == "P1_BOUND":
-        return cert.get("value") == degree_sequence_bound(g) <= target
-    if decision.resolved_at == "P2_BOUND":
-        return cert.get("value") == neighborhood_union_bound(g) <= target
-    if decision.resolved_at == "KERNEL_TRIVIAL":
-        kr = kernelize(g, k)
-        return kr.trivially_yes and cert.get("n0") == kr.n0
-    if decision.resolved_at == "VC_SEARCH":
-        kr = kernelize(g, k)
-        return (
-            cert.get("type") == "search_exhausted"
-            and cert.get("cover_budget") == kr.budget_t
-        )
-    return False
+        vertices = cert.get("vertices")
+        return (stage == "VC_SEARCH" and isinstance(vertices, list)
+                and cert == _no_certificate(vertices, target + 1)
+                and len(vertices) == len(set(vertices)) == target + 1
+                and all(type(v) is int and 0 <= v < g.n for v in vertices)
+                and g.is_independent_set(vertices))
+    if stage in _BOUND_NAMES:
+        bound = degree_sequence_bound if stage == "P1_BOUND" else neighborhood_union_bound
+        value = bound(g)
+        return value <= target and cert == _yes_certificate(stage, value)
+    kr = kernelize(g, k)
+    if stage == "KERNEL_TRIVIAL":
+        return kr.trivially_yes and cert == _yes_certificate(stage, kr.n0)
+    nodes = cert.get("nodes_explored")
+    return (stage == "VC_SEARCH" and not kr.trivially_yes and type(nodes) is int
+            and nodes >= 1 and cert == _yes_certificate(stage, kr.budget_t, nodes))

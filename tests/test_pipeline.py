@@ -163,17 +163,71 @@ def test_screen_never_hides_a_p2_answer():
     assert pairs > 2_000
 
 
+STAGES = ("P1_BOUND", "P2_BOUND", "KERNEL_TRIVIAL", "VC_SEARCH")
+CERTIFICATE_TYPES = ("bound", "kernel_trivial", "search_exhausted", "independent_set")
+
+
+def _five_outcome_corpus():
+    """Small graphs whose decisions, with and without skipping the bound
+    steps, reach all five (resolved_at, answer) outcomes."""
+    corpus = [ab.cycle_graph(5), petersen(), ab.h_np(10, 4)]
+    return corpus + er_corpus((8,), per_density=1, seed=11)
+
+
+def _tampered(d):
+    """(name, decision) for each single change to ``d`` that must not verify."""
+    cert = d.certificate
+
+    def recert(**fields):
+        return replace(d, certificate={**cert, **fields})
+
+    yield "answer MAYBE", replace(d, answer="MAYBE")
+    yield "answer yes", replace(d, answer="yes")
+    for stage in STAGES:
+        if stage != d.resolved_at:
+            yield f"resolved_at {stage}", replace(d, resolved_at=stage)
+    yield "key added", recert(note=0)
+    for key in cert:
+        dropped = {f: v for f, v in cert.items() if f != key}
+        yield f"{key} dropped", replace(d, certificate=dropped)
+    for kind in CERTIFICATE_TYPES:
+        if kind != cert["type"]:
+            yield f"type {kind}", recert(type=kind)
+    if "bound" in cert:
+        yield "bound swapped", recert(bound={"p1": "p2", "p2": "p1"}[cert["bound"]])
+    for key in ("value", "n0", "cover_budget", "size"):
+        if key in cert:
+            yield f"{key} -1", recert(**{key: cert[key] - 1})
+            yield f"{key} +1", recert(**{key: cert[key] + 1})
+    if "nodes_explored" in cert:
+        for bad in (0, "1", True):
+            yield f"nodes_explored {bad!r}", recert(nodes_explored=bad)
+    if "vertices" in cert:
+        vertices = cert["vertices"]
+        yield "duplicate vertex", recert(vertices=vertices[:-1] + vertices[:1])
+        yield "vertex as text", recert(vertices=vertices[:-1] + [str(vertices[-1])])
+
+
 def test_verify_rejects_tampered_certificate():
     g = ab.h_np(10, 4)
     d = ab.decide(g, 1)
-    bad = ab.Decision(
-        answer=d.answer,
-        resolved_at=d.resolved_at,
-        certificate={**d.certificate, "vertices": [0, 1, 2, 3]},
-        bounds=d.bounds,
-        kernel=d.kernel,
-    )
+    bad = replace(d, certificate={**d.certificate, "vertices": [0, 1, 2, 3]})
     assert not ab.verify_decision(g, 1, bad)
+    reached, tampered = set(), 0
+    for g in _five_outcome_corpus():
+        p = ab.nonedge_bound(g)
+        refused_ks = (-1, (p - 1) // 2 + 1)  # k < 0, and the least k with p < 2k + 1
+        for k in range((p - 1) // 2 + 1):
+            for d in (ab.decide(g, k), ab.decide(g, k, skip_bound_steps=True)):
+                assert ab.verify_decision(g, k, d)
+                reached.add((d.resolved_at, d.answer))
+                for bad_k in refused_ks:
+                    assert not ab.verify_decision(g, bad_k, d), bad_k
+                for name, bad in _tampered(d):
+                    assert not ab.verify_decision(g, k, bad), (name, d)
+                    tampered += 1
+    assert len(reached) == 5
+    assert tampered > 900
 
 
 @given(graphs(max_n=10))
@@ -212,10 +266,8 @@ def test_decision_path_never_builds_the_complement(monkeypatch):
         raise RuntimeError("complement built on the decision path")
 
     monkeypatch.setattr(ab.Graph, "complement", refuse)
-    corpus = [ab.cycle_graph(5), petersen(), ab.h_np(10, 4)]
-    corpus += er_corpus((8,), per_density=1, seed=11)
     reached = set()
-    for g in corpus:
+    for g in _five_outcome_corpus():
         alpha, _ = ab.exact_alpha(g)
         rep = ab.bounds_report(g, with_p2=True)
         assert alpha <= rep.p2 <= rep.p1 == rep.wp_complement <= rep.p
