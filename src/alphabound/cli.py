@@ -12,10 +12,13 @@ Subcommands::
     extremal enumerate P        k=1 census of tight kernels
 
 Every command that produces a report prints one JSON object to stdout (see
-``RunReport``); errors go to stderr as JSON with exit code 2, or 3 for an
-``InternalError`` (a result that failed its own re-check: a bug).
-``decide`` exits 0 for YES and 1 for NO so scripts can branch on the answer.
-Vertex ids in reports are the input file's own labels.
+``RunReport``).  Its ``input`` block names the file read (None for commands
+that read none), and its ``parameters`` hold every option of the subcommand
+except the input and output ones (``path``, ``--format``, ``--out``,
+``--emit``).  A report exits 1 when its answer is NO (``decide``), else 0,
+so scripts can branch on the answer.  Errors go to stderr as JSON with exit
+code 2, or 3 for an ``InternalError`` (a result that failed its own
+re-check: a bug).  Vertex ids in reports are the input file's own labels.
 """
 
 from __future__ import annotations
@@ -68,43 +71,38 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        data = json.loads(text)
-        return cls(
-            command=data["command"],
-            input=data["input"],
-            parameters=data["parameters"],
-            result=data["result"],
-            wall_ms=data["wall_ms"],
-        )
+        return cls(**json.loads(text))
+
+
+# Namespace entries that route a command or name its input and output files;
+# every other entry is one of the command's ``parameters``.
+_NOT_PARAMETERS = {"command", "family", "action", "handler", "command_name",
+                   "path", "format", "out", "emit"}
+
+
+def _fail(kind: str, message: str, code: int) -> int:
+    """Write one JSON error line to stderr and return ``code``."""
+    json.dump({"error": {"type": kind, "message": message}}, sys.stderr)
+    sys.stderr.write("\n")
+    return code
 
 
 class _JsonParser(argparse.ArgumentParser):
     """argparse parser whose usage errors are JSON on stderr, exit code 2."""
 
     def error(self, message: str):
-        json.dump({"error": {"type": "usage", "message": message}}, sys.stderr)
-        sys.stderr.write("\n")
-        raise SystemExit(2)
-
-
-def _load(args) -> tuple[Graph, tuple[int, ...], dict]:
-    g, external, fmt = read_graph_with_format(args.path, args.format)
-    info = {"path": args.path, "format": fmt, "n": g.n, "m": g.m}
-    return g, external, info
+        raise SystemExit(_fail("usage", message, 2))
 
 
 def _ext(vertices, external) -> list:
     return [external[v] for v in vertices]
 
 
-def _cmd_bounds(args):
-    g, _, info = _load(args)
-    report = bounds_report(g, with_p2=args.with_p2)
-    return asdict(report), 0, info, {"with_p2": args.with_p2}
+def _cmd_bounds(args, g, external):
+    return asdict(bounds_report(g, with_p2=args.with_p2))
 
 
-def _cmd_decide(args):
-    g, external, info = _load(args)
+def _cmd_decide(args, g, external):
     decision = decide(
         g, args.k,
         skip_bound_steps=args.skip_bound_steps,
@@ -121,25 +119,18 @@ def _cmd_decide(args):
             "trivially_yes": decision.kernel.trivially_yes,
             "removed_count": len(decision.kernel.removed),
         }
-    result = {
+    return {
         "answer": decision.answer,
         "resolved_at": decision.resolved_at,
         "certificate": certificate,
         "bounds": asdict(decision.bounds),
         "kernel": kernel_info,
     }
-    params = {
-        "k": args.k,
-        "skip_bound_steps": args.skip_bound_steps,
-        "node_budget": args.node_budget,
-    }
-    return result, (0 if decision.answer == "YES" else 1), info, params
 
 
-def _cmd_kernel(args):
-    g, external, info = _load(args)
+def _cmd_kernel(args, g, external):
     kr = kernelize(g, args.k)
-    kept = _ext((kr.mapping[i] for i in range(kr.n0)), external)
+    kept = _ext(kr.mapping, external)
     if args.emit:
         write_graph(kr.kernel, args.emit, external_ids=kept)
     result = {
@@ -154,18 +145,15 @@ def _cmd_kernel(args):
     }
     if args.emit:
         result["emitted_to"] = args.emit
-    return result, 0, info, {"k": args.k}
+    return result
 
 
-def _cmd_oracle(args):
-    g, external, info = _load(args)
-    if args.vc:
+def _cmd_oracle(args, g, external):
+    if args.what == "vc":
         size, cover = exact_min_vc(g)
-        result = {"vc_size": size, "witness": _ext(cover, external)}
-    else:
-        alpha, witness = exact_alpha(g)
-        result = {"alpha": alpha, "witness": _ext(witness, external)}
-    return result, 0, info, {"what": "vc" if args.vc else "alpha"}
+        return {"vc_size": size, "witness": _ext(cover, external)}
+    alpha, witness = exact_alpha(g)
+    return {"alpha": alpha, "witness": _ext(witness, external)}
 
 
 _GEN_BUILDERS = {
@@ -178,41 +166,28 @@ _GEN_BUILDERS = {
 }
 
 
-def _emit_graph(g: Graph, args, params: dict, **tag):
+def _emit_graph(g: Graph, args, **tag) -> Optional[dict]:
     """Write the graph to --out and report it, or print it raw."""
     if not args.out:
         sys.stdout.write(format_graph(g, args.format or "edgelist"))
-        return None, 0, None, params
+        return None
     fmt = args.format or guess_format(args.out)
     write_graph(g, args.out, fmt)
-    return {"n": g.n, "m": g.m, "path": args.out, "format": fmt, **tag}, 0, None, params
+    return {"n": g.n, "m": g.m, "path": args.out, "format": fmt, **tag}
 
 
 def _cmd_gen(args):
-    g = _GEN_BUILDERS[args.family](args)
-    params = {
-        key: getattr(args, key)
-        for key in ("n", "p", "prob", "seed")
-        if hasattr(args, key)
-    }
-    return _emit_graph(g, args, params, family=args.family)
+    return _emit_graph(_GEN_BUILDERS[args.family](args), args, family=args.family)
 
 
 def _cmd_extremal_generate(args):
     g = generate_extremal(args.tag, args.p, args.edge_choice, args.seed)
-    params = {
-        "tag": args.tag,
-        "p": args.p,
-        "edge_choice": args.edge_choice,
-        "seed": args.seed,
-    }
-    return _emit_graph(g, args, params, tag=args.tag)
+    return _emit_graph(g, args, tag=args.tag)
 
 
-def _cmd_extremal_classify(args):
-    g, external, info = _load(args)
+def _cmd_extremal_classify(args, g, external):
     analysis = classify_extremal(g, args.p, args.k)
-    result = {
+    return {
         "family_tag": analysis.family_tag,
         "independent_set": _ext(analysis.independent_set, external),
         "rest": _ext(analysis.rest, external),
@@ -221,12 +196,10 @@ def _cmd_extremal_classify(args):
         "residual_budget": residual_nonedge_budget(args.p, args.k),
         "rest_size_range": list(rest_size_range(args.p, args.k)),
     }
-    return result, 0, info, {"p": args.p, "k": args.k}
 
 
 def _cmd_extremal_enumerate(args):
-    counts = enumerate_k1_extremal(args.p)
-    return {"p": args.p, "counts": counts}, 0, None, {"p": args.p}
+    return {"p": args.p, "counts": enumerate_k1_extremal(args.p)}
 
 
 def _add_input_args(parser):
@@ -292,36 +265,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(orc)
     what = orc.add_mutually_exclusive_group()
     what.add_argument(
-        "--alpha", action="store_true",
+        "--alpha", action="store_const", dest="what", const="alpha", default="alpha",
         help="report the independence number (default)",
     )
     what.add_argument(
-        "--vc", action="store_true",
+        "--vc", action="store_const", dest="what", const="vc",
         help="report a minimum vertex cover instead",
     )
     orc.set_defaults(handler=_cmd_oracle, command_name="oracle")
 
     gen = sub.add_parser("gen", help="construct a named graph")
+    gen.set_defaults(handler=_cmd_gen, command_name="gen")
     gsub = gen.add_subparsers(dest="family", required=True,
                               parser_class=_JsonParser)
     for family in ("empty", "complete", "cycle", "path"):
         fam = gsub.add_parser(family)
         fam.add_argument("n", type=int)
         _add_output_args(fam)
-        fam.set_defaults(handler=_cmd_gen, command_name="gen")
     hnp = gsub.add_parser(
         "h_np", help="clique on n-p vertices joined to one of p independents"
     )
     hnp.add_argument("n", type=int)
     hnp.add_argument("p", type=int)
     _add_output_args(hnp)
-    hnp.set_defaults(handler=_cmd_gen, command_name="gen")
     rnd = gsub.add_parser("gnp", help="Erdos-Renyi G(n, prob)")
     rnd.add_argument("n", type=int)
     rnd.add_argument("prob", type=float)
     rnd.add_argument("--seed", type=int, required=True)
     _add_output_args(rnd)
-    rnd.set_defaults(handler=_cmd_gen, command_name="gen")
 
     ext = sub.add_parser("extremal", help="tight-instance tooling")
     esub = ext.add_subparsers(dest="action", required=True,
@@ -361,26 +332,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     start = time.perf_counter()
     try:
-        result, code, input_info, params = args.handler(args)
+        if "path" in vars(args):
+            g, external, fmt = read_graph_with_format(args.path, args.format)
+            source = {"path": args.path, "format": fmt, "n": g.n, "m": g.m}
+            result = args.handler(args, g, external)
+        else:
+            source, result = None, args.handler(args)
     except (ParameterError, ParseError, ResourceLimitError, ValueError,
-            OSError, MemoryError, InternalError) as exc:
-        json.dump(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            sys.stderr,
-        )
-        sys.stderr.write("\n")
-        return 3 if isinstance(exc, InternalError) else 2
+            OSError, MemoryError, OverflowError, InternalError) as exc:
+        return _fail(type(exc).__name__, str(exc), 3 if isinstance(exc, InternalError) else 2)
     if result is None:
-        return code
+        return 0
     report = RunReport(
         command=args.command_name,
-        input=input_info,
-        parameters=params,
+        input=source,
+        parameters={key: value for key, value in vars(args).items()
+                    if key not in _NOT_PARAMETERS},
         result=result,
         wall_ms=round((time.perf_counter() - start) * 1000.0, 3),
     )
     print(report.to_json())
-    return code
+    return 1 if result.get("answer") == "NO" else 0
 
 
 if __name__ == "__main__":

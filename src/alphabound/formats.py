@@ -165,7 +165,7 @@ def parse_dimacs(text: str) -> tuple[Graph, tuple[int, ...]]:
     try:
         rows.extend([0] * (n - len(rows)))
         external = tuple(range(1, n + 1))
-    except MemoryError:
+    except (MemoryError, OverflowError):
         raise ParseError(f"problem line declares {n} vertices, more than fit in memory",
                          header_line) from None
     return Graph._unchecked(rows), external

@@ -36,7 +36,7 @@ from .bounds import (
     neighborhood_union_lower_bound,
     nonedge_bound,
 )
-from .errors import InternalError
+from .errors import InternalError, ResourceLimitError
 from .kernel import KernelResult, _require_headroom, kernelize
 from .vertex_cover import DEFAULT_NODE_BUDGET, _require_node_budget, vertex_cover_decide
 
@@ -63,7 +63,8 @@ class Decision:
                        p - k + 1 of them, independent — re-verified)
 
     :func:`verify_decision` accepts each shape only at its own stage, and every
-    field but ``nodes_explored`` only as the graph gives it afresh.
+    field only as the graph gives it afresh (``nodes_explored`` by replaying
+    the deterministic search).
 
     ``bounds.p2`` is None when stage 2 already answered, when stages 2-4
     were skipped, or when the screen showed p2 > p - k without computing it,
@@ -171,13 +172,14 @@ def verify_decision(g, k: int, decision: Decision) -> bool:
     False, never ParameterError, when k fails k >= 0 and p >= 2k + 1, and
     for an answer other than YES or NO.  A YES certificate is re-derived
     for its stage and compared whole: p1 or p2 (at most p - k), the n0 of a
-    trivial kernel, or the cover budget of a non-trivial one.  The one field
-    taken on trust is ``nodes_explored``, which must be an int >= 1.  A NO
-    is accepted only at VC_SEARCH, with p - k + 1 distinct int vertices of
-    g, independent in it.
+    trivial kernel, or the cover budget of a non-trivial one, whose
+    ``nodes_explored`` must be the count a replay of the search exhausts at.
+    A NO is accepted only at VC_SEARCH, with p - k + 1 distinct int vertices
+    of g, independent in it.  A certificate that is not a dict is False.
     """
     p = nonedge_bound(g)
-    if not (k >= 0 and p >= 2 * k + 1) or decision.answer not in (YES, NO):
+    if (not (k >= 0 and p >= 2 * k + 1) or decision.answer not in (YES, NO)
+            or not isinstance(decision.certificate, dict)):
         return False
     target = p - k
     stage, cert = decision.resolved_at, decision.certificate
@@ -196,5 +198,13 @@ def verify_decision(g, k: int, decision: Decision) -> bool:
     if stage == "KERNEL_TRIVIAL":
         return kr.trivially_yes and cert == _yes_certificate(stage, kr.n0)
     nodes = cert.get("nodes_explored")
-    return (stage == "VC_SEARCH" and not kr.trivially_yes and type(nodes) is int
-            and nodes >= 1 and cert == _yes_certificate(stage, kr.budget_t, nodes))
+    if not (stage == "VC_SEARCH" and not kr.trivially_yes and type(nodes) is int
+            and nodes >= 1 and cert == _yes_certificate(stage, kr.budget_t, nodes)):
+        return False
+    # The search is deterministic: replayed under the claimed count as its
+    # cap, it must exhaust at exactly that count.  Over the cap means too low.
+    try:
+        outcome = vertex_cover_decide(kr.kernel, kr.budget_t, node_budget=nodes)
+    except ResourceLimitError:
+        return False
+    return not outcome.covered and outcome.nodes_explored == nodes

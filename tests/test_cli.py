@@ -131,17 +131,26 @@ def test_node_budget_below_one_exits_two_with_json(c5_path, capsys):
     assert payload["message"] == "node_budget must be at least 1, got 0"
 
 
-def test_huge_dimacs_header_exits_two_with_json(tmp_path, capsys):
-    # The header is valid, so the parser asks for a row list of 2^61 entries;
-    # CPython refuses a list that long before it allocates anything.
+@pytest.mark.parametrize("n", [2 ** 61, 10 ** 20], ids=["2^61", "10^20"])
+def test_huge_dimacs_header_exits_two_with_json(tmp_path, capsys, n):
+    # The header is valid, so the parser asks for a row list of n entries;
+    # CPython refuses a list that long (2^61), or an n past the index range
+    # (10^20), before it allocates anything.
     path = tmp_path / "huge.col"
-    path.write_text(f"p edge {2 ** 61} 1\ne 1 2\n")
+    path.write_text(f"p edge {n} 1\ne 1 2\n")
     code, out, err = run_cli(capsys, "bounds", str(path))
     assert code == 2 and out == ""
     payload = json.loads(err)["error"]
     assert payload["type"] == "ParseError"
     assert payload["message"].startswith("line 1:")
-    assert f"declares {2 ** 61} vertices" in payload["message"]
+    assert f"declares {n} vertices" in payload["message"]
+
+
+@pytest.mark.parametrize("family", ["empty", "complete"])
+def test_gen_past_the_index_range_exits_two_with_json(capsys, family):
+    code, out, err = run_cli(capsys, "gen", family, str(10 ** 20))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "OverflowError"
 
 
 def test_missing_file_exit_two(capsys):
@@ -201,6 +210,65 @@ def test_oracle_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oracle", str(path), "--vc")
     res = json.loads(out)["result"]
     assert res["vc_size"] == 6 and len(res["witness"]) == 6
+
+
+def test_oracle_alpha_and_vc_together_is_a_usage_error(c5_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["oracle", c5_path, "--alpha", "--vc"])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "type": "usage", "message": "argument --vc: not allowed with argument --alpha",
+    }
+
+
+@pytest.fixture
+def member_path(tmp_path):
+    path = tmp_path / "member.edges"
+    ab.write_graph(ab.generate_extremal("k2_c1", 8), str(path))
+    return str(path)
+
+
+# (argv, parameters in report order, input file or None).  ``{c5}``,
+# ``{member}`` and ``{tmp}`` are filled in from the fixtures.
+REPORT_CASES = [
+    (["bounds", "{c5}"], {"with_p2": False}, "c5"),
+    (["bounds", "{c5}", "--p2"], {"with_p2": True}, "c5"),
+    (["decide", "{c5}", "-k", "1"],
+     {"k": 1, "skip_bound_steps": False, "node_budget": ab.DEFAULT_NODE_BUDGET}, "c5"),
+    (["kernel", "{c5}", "-k", "1"], {"k": 1}, "c5"),
+    (["kernel", "{c5}", "-k", "1", "--emit", "{tmp}/k.edges"], {"k": 1}, "c5"),
+    (["oracle", "{c5}"], {"what": "alpha"}, "c5"),
+    (["oracle", "{c5}", "--alpha"], {"what": "alpha"}, "c5"),
+    (["oracle", "{c5}", "--vc"], {"what": "vc"}, "c5"),
+    (["gen", "path", "4", "--out", "{tmp}/p.edges"], {"n": 4}, None),
+    (["gen", "h_np", "10", "4", "--out", "{tmp}/h.col"], {"n": 10, "p": 4}, None),
+    (["gen", "gnp", "10", "0.5", "--seed", "3", "--out", "{tmp}/g.col"],
+     {"n": 10, "prob": 0.5, "seed": 3}, None),
+    (["extremal", "generate", "k2_c1", "8", "--out", "{tmp}/m.col"],
+     {"tag": "k2_c1", "p": 8, "edge_choice": "lower", "seed": None}, None),
+    (["extremal", "classify", "{member}", "-p", "8", "-k", "2"], {"p": 8, "k": 2}, "member"),
+    (["extremal", "enumerate", "3"], {"p": 3}, None),
+]
+
+
+@pytest.mark.parametrize("argv, parameters, source", REPORT_CASES,
+                         ids=[" ".join(case[0]) for case in REPORT_CASES])
+def test_report_parameters_and_input(tmp_path, c5_path, member_path, capsys,
+                                     argv, parameters, source):
+    files = {"c5": (c5_path, "dimacs", ab.cycle_graph(5)),
+             "member": (member_path, "edgelist", ab.generate_extremal("k2_c1", 8))}
+    argv = [a.format(c5=c5_path, member=member_path, tmp=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert list(report["parameters"].items()) == list(parameters.items())
+    if source is None:
+        assert report["input"] is None
+    else:
+        path, fmt, g = files[source]
+        assert report["input"] == {"path": path, "format": fmt, "n": g.n, "m": g.m}
 
 
 def test_gen_writes_raw_edgelist_to_stdout(capsys):

@@ -53,6 +53,9 @@ DIMACS_REJECTS = [
     # A valid file whose n cannot be allocated names its problem line.
     (f"c huge\np edge {2 ** 61} 1\ne 1 2\n", 2,
      f"problem line declares {2 ** 61} vertices, more than fit in memory"),
+    # An n past the index range cannot even be asked for: the same error.
+    (f"p edge {10 ** 20} 0\n", 1,
+     f"problem line declares {10 ** 20} vertices, more than fit in memory"),
 ]
 
 

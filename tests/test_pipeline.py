@@ -183,6 +183,8 @@ def _tampered(d):
 
     yield "answer MAYBE", replace(d, answer="MAYBE")
     yield "answer yes", replace(d, answer="yes")
+    for bad in (None, [], "x"):
+        yield f"certificate {bad!r}", replace(d, certificate=bad)
     for stage in STAGES:
         if stage != d.resolved_at:
             yield f"resolved_at {stage}", replace(d, resolved_at=stage)
@@ -195,7 +197,7 @@ def _tampered(d):
             yield f"type {kind}", recert(type=kind)
     if "bound" in cert:
         yield "bound swapped", recert(bound={"p1": "p2", "p2": "p1"}[cert["bound"]])
-    for key in ("value", "n0", "cover_budget", "size"):
+    for key in ("value", "n0", "cover_budget", "nodes_explored", "size"):
         if key in cert:
             yield f"{key} -1", recert(**{key: cert[key] - 1})
             yield f"{key} +1", recert(**{key: cert[key] + 1})
