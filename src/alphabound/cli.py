@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 from .bounds import bounds_report
 from .errors import InternalError, ParameterError, ParseError, ResourceLimitError
 from .extremal import (
+    _EDGE_CHOICES,
     FAMILY_TAGS,
     classify_extremal,
     enumerate_k1_extremal,
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     egen.add_argument("tag", choices=FAMILY_TAGS)
     egen.add_argument("p", type=int)
     egen.add_argument(
-        "--edge-choice", choices=("lower", "upper", "random"),
+        "--edge-choice", choices=_EDGE_CHOICES,
         default="lower", dest="edge_choice",
     )
     egen.add_argument("--seed", type=int, default=None,

@@ -7,12 +7,12 @@ sandwich described by the split into a maximum independent set I of size
 p - k + 1 and the remaining "rest" vertices R (at most k of them):
 
 * a small mandatory edge pattern touching I and R (the lower member), and
-* the fully permissive upper member, where R is a clique joined completely
-  to I.
+* every pair that meets R (the upper member): R a clique joined to all of I.
 
 Any graph between the two (I kept independent) has independence number
 exactly p - k + 1: the upper member pins it from below, the lower member
-from above, and adding edges never increases it.
+from above, and adding edges never increases it.  A seeded random member
+draws once per optional pair, in lexicographic order.
 
 Two counting facts drive the completeness of the list.  A host graph with
 counting bound p has at most C(p+1, 2) - 1 non-edges, and the kernel
@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 from .bounds import nonedge_bound
@@ -151,30 +151,6 @@ def rest_size_range(p: int, k: int) -> tuple[int, int]:
     return (0, r)
 
 
-def _resolve(role: str, isize: int) -> int:
-    """Map a role name (i3 / r2) to a vertex id in the standard layout."""
-    idx = int(role[1:])
-    return idx if role[0] == "i" else isize + idx
-
-
-def _shape_edge_sets(tag: str, p: int) -> tuple[int, set, set]:
-    """Vertex count, mandatory edges, and optional edges for a family at p."""
-    k, r, pattern = _FAMILY_SHAPES[tag]
-    isize = p - k + 1
-    n0 = isize + r
-    required = {
-        frozenset((_resolve(a, isize), _resolve(b, isize))) for a, b in pattern
-    }
-    rest_ids = range(isize, n0)
-    optional = set()
-    for v in rest_ids:
-        for u in range(isize):
-            optional.add(frozenset((u, v)))
-    for u, v in combinations(rest_ids, 2):
-        optional.add(frozenset((u, v)))
-    return n0, required, optional - required
-
-
 def generate_extremal(
     tag: str,
     p: int,
@@ -183,39 +159,43 @@ def generate_extremal(
 ) -> Graph:
     """Build a member of a tight family at parameter p.
 
-    Layout: vertices 0 .. p-k are the independent set, the rest follow.
+    Layout: vertices 0 .. p-k are the independent set I, the rest follow.
     ``edge_choice`` picks the lower member (mandatory edges only), the
-    upper member (all optional edges added), or a seeded random member in
-    between.  Every member has independence number exactly p - k + 1; for
+    upper member (every pair that meets the rest), or a seeded random
+    member in between, which draws once per optional pair in lexicographic
+    order.  Every member has independence number exactly p - k + 1; for
     small instances that is re-checked against the exact solver.
     """
     if tag not in _FAMILY_SHAPES:
         raise ParameterError(f"unknown family tag {tag!r}")
-    k = _FAMILY_SHAPES[tag][0]
+    k, r, pattern = _FAMILY_SHAPES[tag]
     if p < MIN_P[k]:
-        raise ParameterError(
-            f"family {tag} needs p >= {MIN_P[k]}, got p={p}"
-        )
+        raise ParameterError(f"family {tag} needs p >= {MIN_P[k]}, got p={p}")
     if edge_choice not in _EDGE_CHOICES:
         raise ParameterError(
             f"edge_choice must be one of {_EDGE_CHOICES}, got {edge_choice!r}"
         )
-    n0, required, optional = _shape_edge_sets(tag, p)
-    if edge_choice == "lower":
-        chosen = required
-    elif edge_choice == "upper":
-        chosen = required | optional
-    else:
-        if seed is None:
-            raise ParameterError("edge_choice 'random' needs a seed")
-        rng = random.Random(seed)
-        chosen = set(required)
-        for pair in sorted(optional, key=sorted):
-            if rng.random() < 0.5:
-                chosen.add(pair)
-    g = Graph.from_edges(n0, (tuple(sorted(e)) for e in chosen))
-    actual = {frozenset(e) for e in g.edges()}
-    if not required <= actual <= required | optional:
+    if edge_choice == "random" and seed is None:
+        raise ParameterError("edge_choice 'random' needs a seed")
+    isize = p - k + 1
+    n0 = isize + r
+    # Role "i<j>" is vertex j, role "r<j>" is vertex isize + j.
+    required = {
+        tuple(sorted(int(x[1:]) + (isize if x[0] == "r" else 0) for x in e))
+        for e in pattern
+    }
+    every = edge_choice == "upper"
+    rng = random.Random(seed) if edge_choice == "random" else None
+    g = Graph.from_edges(n0, [
+        (u, v)
+        for u in range(n0)
+        for v in range(max(u + 1, isize), n0)
+        if (u, v) in required or every or (rng is not None and rng.random() < 0.5)
+    ])
+    # The upper member is every pair that meets the rest, so a graph lies in
+    # the sandwich iff it holds every mandatory edge and keeps I independent.
+    if not (all(g.has_edge(u, v) for u, v in required)
+            and g.is_independent_set(range(isize))):
         raise InternalError(f"{tag} member violates its sandwich")
     if n0 <= _ORACLE_VERIFY_MAX_N:
         alpha, _ = exact_alpha(g)
@@ -226,17 +206,13 @@ def generate_extremal(
 
 def _contains_pattern(g: Graph, i_set, rest, pattern) -> bool:
     """Does g realise the mandatory edges under some role assignment?"""
-    if not pattern:
-        return True
-    i_roles = sorted({x for e in pattern for x in e if x[0] == "i"})
-    r_roles = sorted({x for e in pattern for x in e if x[0] == "r"})
-    for r_perm in permutations(rest, len(r_roles)):
-        rmap = dict(zip(r_roles, r_perm))
-        for i_perm in permutations(i_set, len(i_roles)):
-            vmap = dict(zip(i_roles, i_perm))
-            vmap.update(rmap)
-            if all(g.has_edge(vmap[a], vmap[b]) for a, b in pattern):
-                return True
+    roles = sorted({x for e in pattern for x in e})  # "i*" sort before "r*"
+    n_i = sum(x[0] == "i" for x in roles)
+    for i_perm, r_perm in product(permutations(i_set, n_i),
+                                  permutations(rest, len(roles) - n_i)):
+        vmap = dict(zip(roles, i_perm + r_perm))
+        if all(g.has_edge(vmap[a], vmap[b]) for a, b in pattern):
+            return True
     return False
 
 

@@ -97,6 +97,15 @@ def guess_format(path: str, text: Optional[str] = None) -> str:
     )
 
 
+def _pad_rows(rows: list[int], size: int, message: str, lineno: Optional[int]) -> None:
+    """Extend ``rows`` with empty rows up to ``size``.  An allocation that
+    fails is the ParseError ``message.format(size)`` naming ``lineno``."""
+    try:
+        rows.extend([0] * (size - len(rows)))
+    except (MemoryError, OverflowError):
+        raise ParseError(message.format(size), lineno) from None
+
+
 def parse_dimacs(text: str) -> tuple[Graph, tuple[int, ...]]:
     """Parse DIMACS text into (graph, 1-based external ids)."""
     n = None
@@ -147,7 +156,8 @@ def parse_dimacs(text: str) -> tuple[Graph, tuple[int, ...]]:
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", lineno)
             if u > len(rows) or v > len(rows):
-                rows.extend([0] * (max(u, v) - len(rows)))
+                _pad_rows(rows, max(u, v),
+                          "endpoint {} needs more vertices than fit in memory", lineno)
             bit = 1 << (v - 1)
             if rows[u - 1] & bit:
                 raise ParseError(f"duplicate edge {min(u, v)} {max(u, v)}", lineno)
@@ -162,13 +172,9 @@ def parse_dimacs(text: str) -> tuple[Graph, tuple[int, ...]]:
         raise ParseError(
             f"problem line declared {declared_m} edges, file has {m}"
         )
-    try:
-        rows.extend([0] * (n - len(rows)))
-        external = tuple(range(1, n + 1))
-    except (MemoryError, OverflowError):
-        raise ParseError(f"problem line declares {n} vertices, more than fit in memory",
-                         header_line) from None
-    return Graph._unchecked(rows), external
+    _pad_rows(rows, n, "problem line declares {} vertices, more than fit in memory",
+              header_line)
+    return Graph._unchecked(rows), tuple(range(1, n + 1))
 
 
 def parse_edgelist(text: str) -> tuple[Graph, tuple[int, ...]]:

@@ -146,6 +146,19 @@ def test_huge_dimacs_header_exits_two_with_json(tmp_path, capsys, n):
     assert f"declares {n} vertices" in payload["message"]
 
 
+@pytest.mark.parametrize("n", [2 ** 61, 10 ** 20], ids=["2^61", "10^20"])
+def test_huge_dimacs_endpoint_exits_two_with_json(tmp_path, capsys, n):
+    # The endpoint is in range, so the parser grows its rows to reach it.
+    path = tmp_path / "huge.col"
+    path.write_text(f"p edge {n} 1\ne 1 {n}\n")
+    code, out, err = run_cli(capsys, "bounds", str(path))
+    assert code == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "ParseError"
+    assert payload["message"].startswith("line 2:")
+    assert f"endpoint {n} needs" in payload["message"]
+
+
 @pytest.mark.parametrize("family", ["empty", "complete"])
 def test_gen_past_the_index_range_exits_two_with_json(capsys, family):
     code, out, err = run_cli(capsys, "gen", family, str(10 ** 20))

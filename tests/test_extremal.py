@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import alphabound as ab
+from alphabound import extremal
 
 
 def test_tag_table():
@@ -16,6 +17,13 @@ def test_tag_table():
         "k3_a", "k3_b", "k3_c1", "k3_c2", "k3_d1", "k3_d2", "k3_d3",
     )
     assert ab.MIN_P == {1: 3, 2: 8, 3: 15}
+    # Every mandatory edge joins two distinct roles, at least one in the
+    # rest r0..r{r-1}; the I-roles lie in i0..i2.
+    for _, r, pattern in extremal._FAMILY_SHAPES.values():
+        rest_roles = {f"r{j}" for j in range(r)}
+        for a, b in pattern:
+            assert a != b and rest_roles & {a, b}
+            assert {a, b} <= rest_roles | {"i0", "i1", "i2"}
 
 
 def test_residual_nonedge_budget_values():
@@ -116,6 +124,34 @@ def test_generate_random_is_seeded_and_sandwiched():
     lower = set(ab.generate_extremal("k2_c1", 8, "lower").edges())
     upper = set(ab.generate_extremal("k2_c1", 8, "upper").edges())
     assert lower <= set(a.edges()) <= upper
+
+
+# One seeded random member per k.  A random member draws once per optional
+# pair, in lexicographic order, so a seed names one member; these pins hold
+# that order fixed.
+RANDOM_MEMBER_PINS = [
+    ("k1_b", 6, 11, [(0, 6), (1, 6), (4, 6)]),
+    ("k2_c1", 10, 12, [(0, 9), (0, 10), (1, 9), (2, 10), (3, 9), (3, 10), (4, 9),
+                       (7, 9), (7, 10), (8, 9), (9, 10)]),
+    ("k3_d2", 17, 13, [(0, 15), (0, 16), (0, 17), (1, 17), (2, 16), (2, 17), (3, 15),
+                       (3, 16), (4, 15), (4, 17), (5, 15), (5, 16), (6, 16), (6, 17),
+                       (7, 15), (9, 17), (10, 16), (11, 16), (11, 17), (12, 15),
+                       (12, 16), (12, 17), (15, 16), (15, 17)]),
+]
+
+
+@pytest.mark.parametrize("tag, p, seed, pin", RANDOM_MEMBER_PINS,
+                         ids=[case[0] for case in RANDOM_MEMBER_PINS])
+def test_random_members_are_pinned(tag, p, seed, pin):
+    assert list(ab.generate_extremal(tag, p, "random", seed).edges()) == pin
+
+
+def test_pattern_edge_inside_i_fails_the_sandwich(monkeypatch):
+    # A mandatory edge inside I cannot be emitted, so the member misses it.
+    shapes = dict(extremal._FAMILY_SHAPES, k1_b=(1, 1, (("i0", "r0"), ("i0", "i1"))))
+    monkeypatch.setattr(extremal, "_FAMILY_SHAPES", shapes)
+    with pytest.raises(ab.InternalError, match="k1_b member violates its sandwich"):
+        ab.generate_extremal("k1_b", 4, "upper")
 
 
 def test_generate_errors():

@@ -56,6 +56,12 @@ DIMACS_REJECTS = [
     # An n past the index range cannot even be asked for: the same error.
     (f"p edge {10 ** 20} 0\n", 1,
      f"problem line declares {10 ** 20} vertices, more than fit in memory"),
+    # A huge endpoint names its edge line, whether its rows cannot be
+    # allocated (2^61) or cannot even be asked for (10^20).
+    (f"p edge {2 ** 61} 1\ne 1 {2 ** 61}\n", 2,
+     f"endpoint {2 ** 61} needs more vertices than fit in memory"),
+    (f"p edge {10 ** 20} 1\ne 1 {10 ** 20}\n", 2,
+     f"endpoint {10 ** 20} needs more vertices than fit in memory"),
 ]
 
 
