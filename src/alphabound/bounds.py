@@ -6,7 +6,8 @@ Three bounds are computed, forming the chain
 
 * ``p``  — counting bound: an independent set of size q forces C(q, 2)
   distinct non-edges, so alpha is at most the largest q with
-  q(q-1) <= n^2 - n - 2m.  Depends only on the order and size.
+  q(q-1) <= n^2 - n - 2m: p = floor(1/2 + sqrt(1/4 + n^2 - n - 2m)) for
+  n >= 1, evaluated exactly in integers.  Depends only on the order and size.
 * ``p1`` — degree-sequence bound: the largest 1-based index i with
   d_i <= n - i over the ascending degree sequence.  Equal to the
   Welsh–Powell chromatic bound of the complement, which depends only on the
@@ -76,19 +77,11 @@ class BoundsReport:
 def nonedge_bound(g: Graph) -> int:
     """Largest q with q(q-1) <= n^2 - n - 2m; alpha(G) <= q.  n=0 gives 0.
 
-    Equivalent to floor(1/2 + sqrt(1/4 + n^2 - n - 2m)) but evaluated with
-    integer arithmetic so boundary radicands cannot be lost to rounding.
+    q qualifies iff 2q - 1 <= sqrt(D), D = 1 + 4(n^2 - n - 2m), that is iff
+    2q - 1 <= isqrt(D), so q = (1 + isqrt(D)) // 2 with no rounding at all.
     """
     n, m = g.n, g.m
-    if n == 0:
-        return 0
-    twice_nonedges = n * n - n - 2 * m
-    q = (1 + isqrt(1 + 4 * twice_nonedges)) // 2
-    while q * (q - 1) > twice_nonedges:
-        q -= 1
-    while (q + 1) * q <= twice_nonedges:
-        q += 1
-    return q
+    return (1 + isqrt(1 + 4 * (n * n - n - 2 * m))) // 2 if n else 0
 
 
 def degree_sequence_bound(g: Graph) -> int:
@@ -98,17 +91,9 @@ def degree_sequence_bound(g: Graph) -> int:
     least i - 1 non-neighbours inside the set, so d_i <= n - i must hold.
     n=0 gives 0; otherwise the result lies in 1..n.
     """
-    n = g.n
-    if n == 0:
-        return 0
-    ds = g.degree_sequence()
+    n, ds = g.n, g.degree_sequence()
     # d_i is non-decreasing while n - i falls, so the predicate flips once.
-    best = 0
-    for i in range(1, n + 1):
-        if ds[i - 1] > n - i:
-            break
-        best = i
-    return best
+    return bisect_right(range(1, n + 1), False, key=lambda i: ds[i - 1] > n - i)
 
 
 def welsh_powell_chromatic_bound(g: Graph) -> int:

@@ -36,6 +36,7 @@ from math import comb
 from .bounds import nonedge_bound
 from .errors import InternalError, ParameterError
 from .graph import Graph, complement_edge_count, iter_bits
+from .kernel import kernelize
 from .oracle import exact_alpha
 
 __all__ = [
@@ -261,9 +262,9 @@ def classify_extremal(g: Graph, p: int, k: int) -> ExtremalAnalysis:
 
 def is_self_kernel(g: Graph, p: int, k: int) -> bool:
     """True when g is its own kernel at (p, k): its counting bound is p and
-    every degree is below the peeling threshold n - p + k."""
-    threshold = g.n - p + k
-    return nonedge_bound(g) == p and all(d < threshold for d in g.degrees)
+    ``kernelize`` peels nothing.  At that p, ParameterError where the gate
+    of ``kernelize`` refuses k."""
+    return nonedge_bound(g) == p and not kernelize(g, k).removed
 
 
 def enumerate_k1_extremal(p: int) -> dict[str, int]:

@@ -254,13 +254,13 @@ def complete_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    return Graph.from_edges(n, ((v, (v + 1) % n) for v in range(n)))
 
 
 def path_graph(n: int) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    return Graph.from_edges(n, ((v, v + 1) for v in range(n - 1)))
 
 
 def join(a: Graph, b: Graph) -> Graph:

@@ -9,14 +9,15 @@ set of size p - k + 1.
 
 For p >= 2k + 1 the peeled graph has at most p + 2k + 1 vertices and,
 strictly, fewer than p(p+1)/(p-k); the follow-up cover search therefore
-needs budget at most n0 - (p - k + 1) <= 3k.  Below p = 2k + 1 the
-routine refuses instead of returning something weaker.
+needs budget at most n0 - (p - k + 1) <= 3k.  Below p = 2k + 1, or for a
+k that is no integer >= 0, the routine refuses instead of answering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 from .bounds import nonedge_bound
 from .errors import ParameterError
@@ -51,20 +52,26 @@ class KernelResult:
     trivially_yes: bool
 
 
-def _require_headroom(p: int, k: int) -> None:
-    """The precondition k >= 0 and p >= 2k + 1 of peeling, its bound and ``decide``."""
-    if k < 0 or p < 2 * k + 1:
+def _headroom_ok(p: int, k) -> bool:
+    """The one (p, k) gate of peeling, its bound and ``decide``: an integer
+    k >= 0 with p >= 2k + 1.  A plain int skips the slower ABC check."""
+    return (type(k) is int or isinstance(k, Integral)) and 0 <= k and 2 * k + 1 <= p
+
+
+def _require_headroom(p: int, k) -> None:
+    """ParameterError, with the one message, where :func:`_headroom_ok` refuses."""
+    if not _headroom_ok(p, k):
         raise ParameterError(
-            f"peeling needs k >= 0 and p >= 2k + 1, got p={p}, k={k}"
+            f"peeling needs an integer k >= 0 and p >= 2k + 1, got p={p}, k={k}"
         )
 
 
 def kernelize(g: Graph, k: int) -> KernelResult:
     """Peel every vertex of degree >= n - p + k in one simultaneous pass.
 
-    Requires k >= 0 and p >= 2k + 1 (ParameterError otherwise; the
-    answer-preservation argument needs the headroom).  Work is one degree
-    scan plus the induced subgraph build.
+    Requires an integer k >= 0 and p >= 2k + 1 (ParameterError otherwise;
+    the answer-preservation argument needs the headroom).  Work is one
+    degree scan plus the induced subgraph build.
     """
     p = nonedge_bound(g)
     _require_headroom(p, k)

@@ -37,7 +37,7 @@ from .bounds import (
     nonedge_bound,
 )
 from .errors import InternalError, ResourceLimitError
-from .kernel import KernelResult, _require_headroom, kernelize
+from .kernel import KernelResult, _headroom_ok, _require_headroom, kernelize
 from .vertex_cover import DEFAULT_NODE_BUDGET, _require_node_budget, vertex_cover_decide
 
 __all__ = ["Decision", "decide", "decide_many", "verify_decision"]
@@ -99,7 +99,7 @@ def decide(
     skip_bound_steps: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Decision:
-    """Decide alpha(G) <= p - k.  Requires k >= 0 and p >= 2k + 1.
+    """Decide alpha(G) <= p - k.  Requires an integer k >= 0 and p >= 2k + 1.
 
     ``skip_bound_steps`` is a diagnostic switch that jumps straight to the
     kernel stage; it never changes the answer, only ``resolved_at``.
@@ -169,16 +169,17 @@ def decide_many(g) -> list[tuple[int, Decision]]:
 def verify_decision(g, k: int, decision: Decision) -> bool:
     """Re-check a decision against the input graph, never its kept bounds.
 
-    False, never ParameterError, when k fails k >= 0 and p >= 2k + 1, and
-    for an answer other than YES or NO.  A YES certificate is re-derived
-    for its stage and compared whole: p1 or p2 (at most p - k), the n0 of a
-    trivial kernel, or the cover budget of a non-trivial one, whose
-    ``nodes_explored`` must be the count a replay of the search exhausts at.
-    A NO is accepted only at VC_SEARCH, with p - k + 1 distinct int vertices
-    of g, independent in it.  A certificate that is not a dict is False.
+    False, never ParameterError, where the gate of ``decide`` refuses k (as
+    for 0.5, 1.0 or Fraction(1)) and for an answer other than YES or NO.  A
+    YES certificate is re-derived for its stage and compared whole: p1 or p2
+    (at most p - k), the n0 of a trivial kernel, or the cover budget of a
+    non-trivial one, whose ``nodes_explored`` must be the count a replay of
+    the search exhausts at.  A NO is accepted only at VC_SEARCH, with
+    p - k + 1 distinct int vertices of g, independent in it.  A certificate
+    that is not a dict is False.
     """
     p = nonedge_bound(g)
-    if (not (k >= 0 and p >= 2 * k + 1) or decision.answer not in (YES, NO)
+    if (not _headroom_ok(p, k) or decision.answer not in (YES, NO)
             or not isinstance(decision.certificate, dict)):
         return False
     target = p - k

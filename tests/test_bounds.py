@@ -1,5 +1,7 @@
 """Independence-number bounds: counting, degree-sequence, neighborhood-union."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 
@@ -48,6 +50,39 @@ def test_nonedge_bound_matches_definition_exhaustively():
             budget = n * n - n - 2 * g.m
             expect = max(q for q in range(1, n + 1) if q * (q - 1) <= budget)
             assert ab.nonedge_bound(g) == expect
+    # nonedge_bound reads only n and m, so a stand-in reaches every (n, m).
+    for n in range(1, 121):
+        q = 1
+        for m in range(n * (n - 1) // 2, -1, -1):  # the budget T rises by 2
+            budget = n * n - n - 2 * m
+            while (q + 1) * q <= budget:
+                q += 1
+            assert ab.nonedge_bound(SimpleNamespace(n=n, m=m)) == q, (n, m)
+    # T = n^2 - n - 2m is even, so q(q - 1) - 2 is the largest T below the
+    # boundary q(q - 1); n is q and q + 5.
+    for q in (10**6, 10**12 + 7, 2**64, 10**40 + 3, 3 * 10**50 + 1):
+        for n in (q, q + 5):
+            m = (n * n - n - q * (q - 1)) // 2
+            assert ab.nonedge_bound(SimpleNamespace(n=n, m=m)) == q
+            assert ab.nonedge_bound(SimpleNamespace(n=n, m=m + 1)) == q - 1
+
+
+def _linear_p1(g):
+    """p1 by the definition's scan: the largest i with d_i <= n - i."""
+    ds, best = g.degree_sequence(), 0
+    for i in range(1, g.n + 1):
+        if ds[i - 1] > g.n - i:
+            break
+        best = i
+    return best
+
+
+def test_degree_sequence_bound_matches_a_linear_scan():
+    corpus = [g for n in range(7) for g in all_labeled_graphs(n)]
+    corpus += [ab.gnp(n, prob, seed) for n in (7, 10, 20, 40, 80, 120)
+               for prob in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0) for seed in (1, 2)]
+    for g in corpus:
+        assert ab.degree_sequence_bound(g) == _linear_p1(g), g
 
 
 def test_degree_sequence_bound_values():

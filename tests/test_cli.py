@@ -159,7 +159,7 @@ def test_huge_dimacs_endpoint_exits_two_with_json(tmp_path, capsys, n):
     assert f"endpoint {n} needs" in payload["message"]
 
 
-@pytest.mark.parametrize("family", ["empty", "complete"])
+@pytest.mark.parametrize("family", ["empty", "complete", "path", "cycle"])
 def test_gen_past_the_index_range_exits_two_with_json(capsys, family):
     code, out, err = run_cli(capsys, "gen", family, str(10 ** 20))
     assert code == 2 and out == ""

@@ -220,6 +220,10 @@ def test_is_self_kernel():
     assert ab.is_self_kernel(g, 4, 1)
     star = ab.generate_extremal("k1_b", 4, "upper")
     assert not ab.is_self_kernel(star, 4, 1)
+    assert not ab.is_self_kernel(g, 5, 1)  # g's counting bound is 4
+    for k in (2, 0.5):  # refused by the gate of kernelize
+        with pytest.raises(ab.ParameterError, match="integer k >= 0"):
+            ab.is_self_kernel(g, 4, k)
 
 
 def test_census_smallest_case_and_errors():

@@ -143,6 +143,8 @@ def test_external_id_validation():
         ab.format_edgelist(g, [3, 2, 1])
     with pytest.raises(ab.ParameterError):
         ab.format_edgelist(g, [1, 2])
+    with pytest.raises(ab.ParameterError, match="non-negative"):
+        ab.format_edgelist(g, [-1, 2, 3])
     with pytest.raises(ab.ParameterError):
         ab.write_graph(g, "unused.col", "dimacs", external_ids=[1, 2, 3])
 
@@ -160,6 +162,7 @@ def test_guess_format():
     assert ab.guess_format("a.edges") == "edgelist"
     assert ab.guess_format("mystery", "c hello\np edge 1 0\n") == "dimacs"
     assert ab.guess_format("mystery", "0 1\n") == "edgelist"
+    assert ab.guess_format("mystery", "") == "edgelist"
     with pytest.raises(ab.ParameterError):
         ab.guess_format("mystery")
 

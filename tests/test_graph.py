@@ -72,6 +72,9 @@ def test_generators():
     assert ab.path_graph(0).n == 0 and ab.path_graph(1).m == 0
     with pytest.raises(ValueError):
         ab.cycle_graph(2)
+    for build in (ab.empty_graph, ab.complete_graph, ab.path_graph):
+        with pytest.raises(ValueError, match="non-negative"):
+            build(-1)
 
 
 def test_join_and_disjoint_union():
@@ -129,6 +132,10 @@ def test_set_predicates():
     assert ab.empty_graph(3).is_vertex_cover([])
     with pytest.raises(ValueError):
         c5.is_independent_set([9])
+    for query in (lambda: c5.degree(5), lambda: c5.has_edge(0, 5),
+                  lambda: c5.has_edge(-1, 0), lambda: c5.neighbors(-1)):
+        with pytest.raises(ValueError, match="out of range"):
+            query()
 
 
 def test_gnp_deterministic_and_extremes():

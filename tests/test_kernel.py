@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -31,6 +32,8 @@ def test_parameter_errors():
         ab.kernel_size_bound_scaled(10, 3, 1)
     with pytest.raises(ab.ParameterError):
         ab.kernel_size_bound_scaled(5, 2, 3)
+    with pytest.raises(ab.ParameterError, match="non-negative"):
+        ab.kernel_size_bound_scaled(10, -1, 2)
 
 
 def test_size_bound_values():
@@ -64,7 +67,9 @@ def test_kernel_invariants(g):
 
 def test_precondition_has_one_message():
     g = ab.h_np(10, 4)  # p = 4
-    for k in (-1, 2):
+    yes = ab.decide(g, 0)
+    # k must be an integer: at k = 0.5 the target p - k = 3.5 is no size.
+    for k in (-1, 2, 0.5, 1.0, Fraction(1)):
         messages = set()
         for call in (
             lambda: ab.decide(g, k),
@@ -74,4 +79,16 @@ def test_precondition_has_one_message():
             with pytest.raises(ab.ParameterError) as e:
                 call()
             messages.add(str(e.value))
-        assert messages == {f"peeling needs k >= 0 and p >= 2k + 1, got p=4, k={k}"}
+        assert messages == {
+            f"peeling needs an integer k >= 0 and p >= 2k + 1, got p=4, k={k}"
+        }
+        assert not ab.verify_decision(g, k, yes)
+
+
+def test_integral_k_of_any_type_is_accepted():
+    g = ab.h_np(10, 4)  # p = 4
+    for k in (np.int64(1), True):
+        d = ab.decide(g, k)
+        assert d == ab.decide(g, 1) and ab.verify_decision(g, k, d)
+        assert ab.kernelize(g, k) == ab.kernelize(g, 1)
+        assert ab.kernel_size_bound(4, k) == 7

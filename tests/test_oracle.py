@@ -64,6 +64,8 @@ def test_has_augmenting_set_upto():
     assert ab.has_augmenting_set_upto(c6, [0, 2], 1)
     assert not ab.has_augmenting_set_upto(c6, [0, 3], 1)
     assert ab.has_augmenting_set_upto(c6, [0, 3], 2)
+    with pytest.raises(ValueError, match="not independent"):
+        ab.has_augmenting_set_upto(c6, [0, 1], 1)
 
 
 @given(graphs(max_n=8))
