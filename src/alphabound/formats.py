@@ -17,10 +17,21 @@ Two formats are supported:
   vertices survive a write/read round trip.
 
 One table, ``_FORMATS``, holds each format's parser, text writer and file
-extensions; everything here dispatches through it.  The parsers validate
-once: each checks every line as it reads it and wraps the bit rows it fills
-unchecked (the edge list fills them after its last line, once the dense
-relabelling is known), so no edge is checked a second time.
+extensions; everything here dispatches through it.
+
+Each parser has two paths, chosen from the text alone.  The bulk pass reads
+the whole file as one byte array and does every check on numpy arrays:
+range, self-loops and, for DIMACS, duplicates and the declared edge count.
+It takes a file only when every line is regular: blank, a comment, the
+DIMACS header, or an ``e u v`` (DIMACS) or one- or two-token (edge list)
+line whose numbers are ASCII digits, at most 18 of them, with tokens
+separated by spaces or tabs and lines ended by ``\\n`` or ``\\r\\n``.  Any
+other file, and any file that fails a check, goes to the line loop, which
+reads one line at a time.  The line loop is the reference the bulk pass must
+agree with, and the only source of a ``ParseError``: its message and line
+number.  Both paths validate once and wrap the rows they fill unchecked.
+The writers render each vertex label once and take the edges from numpy
+row blocks, or from ``Graph.edges()`` on a graph with few edges.
 
 Readers return ``(graph, external_ids)`` where ``external_ids[i]`` is the
 label the input used for internal vertex ``i`` (for DIMACS that is always
@@ -33,8 +44,10 @@ import os
 from collections import namedtuple
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import ParameterError, ParseError
-from .graph import Graph
+from .graph import _SYMMETRY_BLOCK, Graph, _packed_rows, _row_unpacker
 
 __all__ = [
     "FORMATS",
@@ -87,11 +100,10 @@ def guess_format(path: str, text: Optional[str] = None) -> str:
         if ext in entry.extensions:
             return name
     if text is not None:
-        for raw in text.splitlines():
-            fields = raw.split()
-            if fields:
-                return "dimacs" if fields[0] in ("c", "p") else "edgelist"
-        return "edgelist"
+        # Every line boundary is whitespace to split(), so the first token is
+        # the first field of the first non-blank line.
+        first = text.split(None, 1)[:1]
+        return "dimacs" if first in (["c"], ["p"]) else "edgelist"
     raise ParameterError(
         f"cannot infer graph format from {path!r}; pass one of {FORMATS}"
     )
@@ -108,6 +120,227 @@ def _pad_rows(rows: list[int], size: int, message: str, lineno: Optional[int]) -
 
 def parse_dimacs(text: str) -> tuple[Graph, tuple[int, ...]]:
     """Parse DIMACS text into (graph, 1-based external ids)."""
+    parsed = _dimacs_bulk(text)
+    return _dimacs_lines(text) if parsed is None else parsed
+
+
+def parse_edgelist(text: str) -> tuple[Graph, tuple[int, ...]]:
+    """Parse edge-list text into (graph, sorted original vertex labels)."""
+    parsed = _edgelist_bulk(text)
+    return _edgelist_lines(text) if parsed is None else parsed
+
+
+# -- the bulk pass --------------------------------------------------------
+
+_MAX_DIGITS = 18  # 10^18 - 1 < 2^63, so every regular number fits an int64
+# The bulk pass takes n below 2^31, so a directed key u * n + v fits an int64.
+_MAX_BULK_N = 1 << 31
+# Byte classes: a separator (space, tab, CR, LF), a digit, another printable
+# ASCII byte, or a byte the bulk pass leaves to the line loop.
+_SEPARATOR, _DIGIT, _LETTER, _OTHER = 0, 1, 2, 3
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[0x21:0x7F] = _LETTER
+_BYTE_CLASS[0x30:0x3A] = _DIGIT
+_BYTE_CLASS[list(b" \t\r\n")] = _SEPARATOR
+
+
+def _first_of_runs(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``values`` that differ from the one before."""
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
+def _tokens(text: str, comment: Optional[str] = None) -> Optional[tuple[np.ndarray, ...]]:
+    """Split regular text into tokens grouped by line, or None.
+
+    Returns ``(buf, starts, ends, digits, heads, counts)``: the text as
+    uint8, each token's byte span, whether it is all digits, the index of
+    each non-blank line's first token and the line's token count.  Text is
+    regular when it is ASCII, printable apart from separators, and has a CR
+    only before an LF; ``comment``, if given, starts a comment that runs to
+    the end of its line.
+    """
+    if not text.isascii() or ("\r" in text and text.count("\r") != text.count("\r\n")):
+        return None
+    # Between two LFs, every token has a separator on each side and every
+    # line ends with an LF.
+    buf = np.frombuffer(f"\n{text}\n".encode("ascii"), dtype=np.uint8)
+    classes = _BYTE_CLASS.take(buf)
+    if classes.max() == _OTHER:
+        return None
+    newlines = np.flatnonzero(buf == ord("\n"))
+    inside = classes != _SEPARATOR
+    if comment is not None and comment in text:
+        # The first comment mark of each line masks up to the line's end.
+        marks = np.flatnonzero(buf == ord(comment))
+        mark_line = newlines.searchsorted(marks)
+        first = _first_of_runs(mark_line)
+        delta = np.zeros(buf.size, dtype=np.int8)
+        delta[marks[first]] = 1
+        delta[newlines[mark_line[first]]] = -1
+        inside &= np.cumsum(delta, dtype=np.int8) == 0
+    # The byte-sized arrays are as large as the file: each goes once used.
+    letters = (classes == _LETTER) & inside
+    del classes
+    bounds = np.flatnonzero(inside[1:] != inside[:-1])
+    del inside
+    bounds += 1
+    starts, ends = bounds[::2], bounds[1::2]
+    # A token is all digits when none of its bytes is a letter.
+    digits = ~np.logical_or.reduceat(letters, starts) if starts.size else letters[:0]
+    del letters
+    # The tokens of line i, between LFs i and i + 1, are cut[i] .. cut[i + 1] - 1.
+    cut = starts.searchsorted(newlines)
+    counts = cut[1:] - cut[:-1]
+    nonblank = counts > 0
+    return buf, starts, ends, digits, cut[:-1][nonblank], counts[nonblank]
+
+
+def _numbers(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+             digits: np.ndarray) -> Optional[np.ndarray]:
+    """The int64 values of the tokens, or None unless each is 1 to 18 digits."""
+    width = lengths.max(initial=0)
+    if width > _MAX_DIGITS or not digits.all():
+        return None
+    values = np.zeros(starts.size, dtype=np.int64)
+    digit = buf - np.uint8(ord("0"))
+    position = starts.copy()
+    for j in range(width):  # the j-th digit of every token that has one
+        more = lengths > j
+        np.multiply(values, 10, out=values, where=more)
+        np.add(values, digit.take(position, mode="clip"), out=values, where=more)
+        position += 1
+    return values
+
+
+def _sorted_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The directed keys ``u * n + v`` and ``v * n + u`` of the edges
+    ``u[i]-v[i]`` on ``n`` vertices, sorted."""
+    m = u.size
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n, out=keys[:m])
+    keys[:m] += v
+    np.multiply(v, n, out=keys[m:])
+    keys[m:] += u
+    keys.sort()
+    return keys
+
+
+def _bulk_rows(n: int, keys: np.ndarray) -> list[int]:
+    """The bit rows of the graph on ``n`` vertices whose sorted directed
+    edges are ``keys = u * n + v``.
+
+    Only rows with an edge are packed, in blocks of at most
+    ``_SYMMETRY_BLOCK`` rows, so no n x n temporary is ever held.
+    """
+    rows = [0] * n
+    src, dst = np.divmod(keys, n)
+    head = _first_of_runs(src)
+    local = np.cumsum(head)  # 1 + the rank of each key's row among rows with an edge
+    local -= 1
+    first = np.append(np.flatnonzero(head), keys.size)
+    owners = src[first[:-1]].tolist()
+    del src, head
+    columns = dst >> 3
+    bits = np.left_shift(np.uint8(1), (dst & 7).astype(np.uint8))
+    del dst
+    for a in range(0, len(owners), _SYMMETRY_BLOCK):
+        b = min(a + _SYMMETRY_BLOCK, len(owners))
+        span = slice(first[a], first[b])
+        block_rows = local[span]
+        block_rows -= a
+        packed = np.zeros((b - a, (n + 7) // 8), dtype=np.uint8)
+        np.bitwise_or.at(packed, (block_rows, columns[span]), bits[span])
+        for v, row in zip(owners[a:b], _packed_rows(packed)):
+            rows[v] = row
+    return rows
+
+
+def _dimacs_edges(text: str) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
+    """``(n, u, v)`` of a regular DIMACS text whose endpoints ``u[i], v[i]``
+    (0-based) are in range, or None."""
+    scanned = _tokens(text)
+    if scanned is None:
+        return None
+    buf, starts, ends, digits, heads, counts = scanned
+    kinds = np.where(ends[heads] - starts[heads] == 1, buf[starts[heads]], 0)
+    is_header, is_edge = kinds == ord("p"), kinds == ord("e")
+    header = np.flatnonzero(is_header)
+    edges = heads[is_edge]
+    if (not (is_header | is_edge | (kinds == ord("c"))).all() or header.size != 1
+            or counts[header[0]] != 4 or (counts[is_edge] != 3).any()):
+        return None
+    h = heads[header[0]]
+    if (edges.size and edges[0] < h) or buf[starts[h + 1]:ends[h + 1]].tobytes() != b"edge":
+        return None
+    picked = np.concatenate(([h + 2, h + 3], edges + 1, edges + 2))
+    first, lengths, digits = starts[picked], ends[picked], digits[picked]
+    lengths -= first
+    del scanned, starts, ends, picked  # the token arrays are larger than the picked ones
+    values = _numbers(buf, first, lengths, digits)
+    if values is None:
+        return None
+    n, m = int(values[0]), edges.size
+    endpoints = values[2:]
+    endpoints -= 1
+    if (n >= _MAX_BULK_N or values[1] != m
+            or (m and (endpoints.min() < 0 or endpoints.max() >= n))):
+        return None
+    return n, endpoints[:m], endpoints[m:]
+
+
+def _dimacs_bulk(text: str) -> Optional[tuple[Graph, tuple[int, ...]]]:
+    """The bulk pass over DIMACS text; None leaves the file to the line loop."""
+    edges = _dimacs_edges(text)
+    if edges is None:
+        return None
+    n, u, v = edges
+    keys = _sorted_keys(n, u, v)
+    if not _first_of_runs(keys).all():  # a self-loop, or a repeated or reversed edge
+        return None
+    try:
+        rows = _bulk_rows(n, keys)
+    except MemoryError:  # the line loop names the header that asked for n
+        return None
+    return Graph._unchecked(rows), tuple(range(1, n + 1))
+
+
+def _edgelist_edges(text: str) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(labels, u, v)`` of a regular, loop-free edge-list text: its sorted
+    distinct labels and the dense ids ``u[i], v[i]`` of each edge, or None."""
+    scanned = _tokens(text, comment="#")
+    if scanned is None:
+        return None
+    buf, starts, ends, digits, heads, counts = scanned
+    numbers = _numbers(buf, starts, ends - starts, digits)
+    if numbers is None or (counts > 2).any():
+        return None
+    pairs = heads[counts == 2]
+    if (numbers[pairs] == numbers[pairs + 1]).any():
+        return None
+    labels = np.sort(numbers)
+    labels = labels[_first_of_runs(labels)]
+    return labels, labels.searchsorted(numbers[pairs]), labels.searchsorted(numbers[pairs + 1])
+
+
+def _edgelist_bulk(text: str) -> Optional[tuple[Graph, tuple[int, ...]]]:
+    """The bulk pass over edge-list text; None leaves the file to the line loop."""
+    edges = _edgelist_edges(text)
+    if edges is None:
+        return None
+    labels, u, v = edges
+    # A repeated edge sets the same bits again: duplicates collapse.
+    rows = _bulk_rows(labels.size, _sorted_keys(labels.size, u, v))
+    return Graph._unchecked(rows), tuple(labels.tolist())
+
+
+# -- the line loop ----------------------------------------------------------
+
+
+def _dimacs_lines(text: str) -> tuple[Graph, tuple[int, ...]]:
+    """The DIMACS line loop: the reference, and the source of every ParseError."""
     n = None
     declared_m = None
     header_line = None
@@ -177,8 +410,8 @@ def parse_dimacs(text: str) -> tuple[Graph, tuple[int, ...]]:
     return Graph._unchecked(rows), tuple(range(1, n + 1))
 
 
-def parse_edgelist(text: str) -> tuple[Graph, tuple[int, ...]]:
-    """Parse edge-list text into (graph, sorted original vertex labels)."""
+def _edgelist_lines(text: str) -> tuple[Graph, tuple[int, ...]]:
+    """The edge-list line loop: the reference, and the source of every ParseError."""
     isolated: list[int] = []
     ends: list[int] = []  # u0, v0, u1, v1, ... in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -233,10 +466,39 @@ def _check_external_ids(g: Graph, external_ids: Optional[Sequence[int]]) -> Sequ
     return external_ids
 
 
+# Below this many edges the writers walk ``Graph.edges()``: there numpy's
+# fixed cost per call is more than it saves per edge.
+_BULK_MIN_EDGES = 1000
+
+
+def _edge_lines(g: Graph, prefixes: Sequence[str], labels: Sequence[str]) -> list[str]:
+    """``prefixes[u] + labels[v]`` for each edge u < v, in lexicographic order.
+
+    On a graph with at least ``_BULK_MIN_EDGES`` edges, the edges come from
+    the rows unpacked in blocks of at most ``_SYMMETRY_BLOCK`` rows, and
+    numpy joins the strings.
+    """
+    if g.m < _BULK_MIN_EDGES:
+        return [prefixes[u] + labels[v] for u, v in g.edges()]
+    prefixes = np.array(prefixes, dtype=object)
+    labels = np.array(labels, dtype=object)
+    unpack = _row_unpacker(g.adjacency, g.n)
+    lines: list[str] = []
+    step = min(_SYMMETRY_BLOCK, max(1, (1 << 20) // g.n))  # at most 1 MiB unpacked
+    for a in range(0, g.n, step):
+        bits = unpack(a, min(a + step, g.n)).view(bool)
+        u, v = np.divmod(np.flatnonzero(bits), g.n)
+        u += a
+        upper = v > u
+        lines += (prefixes[u[upper]] + labels[v[upper]]).tolist()
+    return lines
+
+
 def format_dimacs(g: Graph) -> str:
     """Render a graph as DIMACS text; vertices are renumbered 1..n."""
+    labels = [str(v) for v in range(1, g.n + 1)]
     lines = [f"p edge {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
+    lines += _edge_lines(g, [f"e {label} " for label in labels], labels)
     return "\n".join(lines) + "\n"
 
 
@@ -248,9 +510,9 @@ def format_edgelist(
     ``external_ids`` (strictly increasing, one per vertex) relabels the
     output; by default vertices are written as 0..n-1.
     """
-    ids = _check_external_ids(g, external_ids)
-    lines = [f"{ids[u]} {ids[v]}" for u, v in g.edges()]
-    lines.extend(str(ids[v]) for v, d in enumerate(g.degrees) if d == 0)
+    labels = [str(label) for label in _check_external_ids(g, external_ids)]
+    lines = _edge_lines(g, [label + " " for label in labels], labels)
+    lines.extend(labels[v] for v, d in enumerate(g.degrees) if d == 0)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

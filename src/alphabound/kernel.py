@@ -52,10 +52,15 @@ class KernelResult:
     trivially_yes: bool
 
 
+def _is_integer(k) -> bool:
+    """The integer test on k; a plain int skips the slower ABC check."""
+    return type(k) is int or isinstance(k, Integral)
+
+
 def _headroom_ok(p: int, k) -> bool:
     """The one (p, k) gate of peeling, its bound and ``decide``: an integer
-    k >= 0 with p >= 2k + 1.  A plain int skips the slower ABC check."""
-    return (type(k) is int or isinstance(k, Integral)) and 0 <= k and 2 * k + 1 <= p
+    k >= 0 with p >= 2k + 1."""
+    return _is_integer(k) and 0 <= k and 2 * k + 1 <= p
 
 
 def _require_headroom(p: int, k) -> None:
@@ -102,8 +107,11 @@ def kernel_size_bound_scaled(p: int, k: int, c) -> Fraction:
     """Kernel-order ceiling p + c/(c-1) * (k+1) under the scaling p >= c*k, c > 1.
 
     ``c`` may be any rational (int, Fraction, or float taken at exact
-    value).  Exact rational arithmetic; the caller decides how to round.
+    value); k must be an integer, as for every other (p, k) check.  Exact
+    rational arithmetic; the caller decides how to round.
     """
+    if not _is_integer(k):
+        raise ParameterError(f"scaled bound needs an integer k, got k={k}")
     if k < 0:
         raise ParameterError(f"k must be non-negative, got {k}")
     c = Fraction(c)

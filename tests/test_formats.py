@@ -1,8 +1,11 @@
 """DIMACS and edge-list parsing, serialization, format guessing."""
 
+import random
+
 import pytest
 
 import alphabound as ab
+from alphabound import formats
 from alphabound.formats import format_graph, read_graph_with_format
 
 DIMACS_C5 = """c five cycle
@@ -163,6 +166,12 @@ def test_guess_format():
     assert ab.guess_format("mystery", "c hello\np edge 1 0\n") == "dimacs"
     assert ab.guess_format("mystery", "0 1\n") == "edgelist"
     assert ab.guess_format("mystery", "") == "edgelist"
+    # The first token decides, past blank lines and leading whitespace.
+    assert ab.guess_format("mystery", "\n\n \n\np edge 1 0\n") == "dimacs"
+    assert ab.guess_format("mystery", " c hello\n") == "dimacs"
+    assert ab.guess_format("mystery", "\tp edge 1 0\n") == "dimacs"
+    assert ab.guess_format("mystery", "\n \t\r\n\v\f \n") == "edgelist"
+    assert ab.guess_format("mystery", "cp edge 1 0\n") == "edgelist"
     with pytest.raises(ab.ParameterError):
         ab.guess_format("mystery")
 
@@ -218,3 +227,124 @@ def test_formats_share_one_table(tmp_path):
         with pytest.raises(ab.ParameterError):
             call()
     assert not (tmp_path / "out.col").exists()
+
+
+def _writer_files(g):
+    """Each file the writers make of g: (text, public parser, line loop)."""
+    sparse = [3 * v + v * v for v in range(g.n)]
+    yield ab.format_dimacs(g), ab.parse_dimacs, formats._dimacs_lines
+    yield ab.format_edgelist(g), ab.parse_edgelist, formats._edgelist_lines
+    yield ab.format_edgelist(g, sparse), ab.parse_edgelist, formats._edgelist_lines
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ab.ParseError as e:
+        return type(e), e.line, str(e)
+
+
+# Each joins the tokens of one line; "\t" and " \t " keep the line regular.
+_SEPARATORS = ("\t", " \t ", "\r\n", "\r", "\v", "\f", "\x85", "\x1c")
+# Each rewrites one token t of one line; a sign, an underscore, a non-ASCII
+# digit or more than 18 digits make the line irregular.
+_TOKEN_EDITS = (
+    lambda t, n: "+" + t,
+    lambda t, n: t[:1] + "_" + t[1:] if len(t) > 1 else t + "_",
+    lambda t, n: "00" + t,
+    lambda t, n: t[:-1] + "\u0663",  # ARABIC-INDIC DIGIT THREE: int() reads it
+    lambda t, n: "1" + "0" * 18,
+    lambda t, n: "9" * 25,
+    lambda t, n: "0",
+    lambda t, n: str(n + 1),
+)
+
+
+def _mutants(text, n, rng):
+    """Seeded edits of one writer's file, regular and irregular alike."""
+    lines = text.split("\n")[:-1]
+    comment = "c" if text.startswith("p edge") else "#"
+
+    def at(i, *new):
+        return "\n".join(lines[:i] + list(new) + lines[i + 1:]) + "\n"
+
+    yield text.replace("\n", "\r\n")
+    yield text[:-1]
+    yield f"{comment} a comment\n" + text
+    yield text + f"{comment}\n\n"
+    if not lines:
+        return
+    i = rng.randrange(len(lines))
+    fields = lines[i].split()
+    for sep in _SEPARATORS:
+        yield at(i, sep.join(fields))
+    yield at(i, lines[i] + "  ")
+    yield at(i, lines[i], "", f"{comment} note", lines[i])  # a repeated line
+    yield at(i, lines[i], " ".join(fields[:-2] + fields[-1:-3:-1]))  # reversed
+    yield at(i, lines[i] + " # trailing # comment")
+    j = rng.randrange(len(fields))
+    for edit in _TOKEN_EDITS:
+        if fields[j].isdigit():
+            yield at(i, " ".join(fields[:j] + [edit(fields[j], n)] + fields[j + 1:]))
+    if comment == "c":
+        n_, m = lines[0].split()[2:]
+        yield at(0, f"p edge {n_} {int(m) + 1}")
+        yield at(0, f"p edge {n_} {max(int(m) - 1, 0)}")
+        yield at(0, f"p edges {n_} {m}")
+        if len(lines) > 1:
+            yield "\n".join(lines[1:2] + lines[:1] + lines[2:]) + "\n"
+
+
+def test_bulk_pass_agrees_with_the_line_loop():
+    # Every file, and every seeded mutant of the smaller ones, parses to the
+    # same (graph, ids) on both paths or fails with the same class, line
+    # and text.  The line loop is called directly as the reference.
+    rng = random.Random(19)
+    for g in _roundtrip_corpus():
+        for text, parse, lines in _writer_files(g):
+            assert parse(text) == lines(text)
+            if g.n > 64:
+                continue
+            for mutant in _mutants(text, g.n, rng):
+                assert _outcome(parse, mutant) == _outcome(lines, mutant), mutant
+
+
+def test_writers_match_an_edge_by_edge_rendering():
+    for g in _roundtrip_corpus():
+        sparse = [3 * v + v * v for v in range(g.n)]
+        dimacs = [f"p edge {g.n} {g.m}"] + [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+        assert ab.format_dimacs(g) == "\n".join(dimacs) + "\n"
+        for ids in (range(g.n), sparse):
+            lines = [f"{ids[u]} {ids[v]}" for u, v in g.edges()]
+            lines += [str(ids[v]) for v in g.vertices() if g.degree(v) == 0]
+            assert ab.format_edgelist(g, ids) == "\n".join(lines) + ("\n" if lines else "")
+
+
+def test_writers_files_take_the_bulk_path(monkeypatch):
+    # A file the writers made that fell back to the line loop would still
+    # parse right, only slower; so the line loop must not run at all.
+    def refuse(text):
+        raise AssertionError("the line loop ran on a writer's file")
+
+    monkeypatch.setattr(formats, "_dimacs_lines", refuse)
+    monkeypatch.setattr(formats, "_edgelist_lines", refuse)
+    for g in _roundtrip_corpus():
+        for text, parse, _ in _writer_files(g):
+            expected = parse(text)
+            assert expected[0] == g
+            # CRLF line ends, tabs, blank lines and comments are regular too.
+            assert parse(text.replace("\n", "\r\n")) == expected
+            if text.startswith("p edge"):
+                assert parse("c\tnote\n\n" + text.replace(" ", "\t")) == expected
+            else:
+                assert parse("# note\n\n" + text.replace("\n", "\t# note\n")) == expected
+
+
+def test_bulk_blocks_join_up(monkeypatch):
+    # Rows are packed and unpacked in blocks of _SYMMETRY_BLOCK rows; with a
+    # block of 7, every corpus graph with more than 7 vertices spans several.
+    expected = [(text, parse(text)) for g in _roundtrip_corpus()
+                for text, parse, _ in _writer_files(g)]
+    monkeypatch.setattr(formats, "_SYMMETRY_BLOCK", 7)
+    assert [(text, parse(text)) for g in _roundtrip_corpus()
+            for text, parse, _ in _writer_files(g)] == expected

@@ -34,6 +34,11 @@ def test_parameter_errors():
         ab.kernel_size_bound_scaled(5, 2, 3)
     with pytest.raises(ab.ParameterError, match="non-negative"):
         ab.kernel_size_bound_scaled(10, -1, 2)
+    for k in (0.5, 1.0, Fraction(1)):
+        with pytest.raises(ab.ParameterError, match="an integer k"):
+            ab.kernel_size_bound_scaled(10, k, 2)
+    scaled = ab.kernel_size_bound_scaled(10, np.int64(3), 2)
+    assert scaled == Fraction(18) and isinstance(scaled, Fraction)
 
 
 def test_size_bound_values():
