@@ -22,16 +22,18 @@ extensions; everything here dispatches through it.
 Each parser has two paths, chosen from the text alone.  The bulk pass reads
 the whole file as one byte array and does every check on numpy arrays:
 range, self-loops and, for DIMACS, duplicates and the declared edge count.
-It takes a file only when every line is regular: blank, a comment, the
-DIMACS header, or an ``e u v`` (DIMACS) or one- or two-token (edge list)
-line whose numbers are ASCII digits, at most 18 of them, with tokens
+It takes a file only when every line is regular: blank, a DIMACS ``c``
+comment or header, or an ``e u v`` (DIMACS) or one- or two-token (edge
+list) line whose numbers are ASCII digits, at most 18 of them, with tokens
 separated by spaces or tabs and lines ended by ``\\n`` or ``\\r\\n``.  Any
-other file, and any file that fails a check, goes to the line loop, which
-reads one line at a time.  The line loop is the reference the bulk pass must
-agree with, and the only source of a ``ParseError``: its message and line
-number.  Both paths validate once and wrap the rows they fill unchecked.
-The writers render each vertex label once and take the edges from numpy
-row blocks, or from ``Graph.edges()`` on a graph with few edges.
+other file (an edge list with a ``#`` comment among them), and any file
+that fails a check, goes to the line loop, which reads one line at a time.
+The line loop is the reference the bulk pass must agree with, and the only
+source of a ``ParseError``: its message and line number.  Both paths
+validate once and wrap the rows they fill unchecked.  The bulk pass fills
+each row only up to its last neighbour, a bounded chunk of rows at a time.
+The writers render each vertex label once and walk each row's bits above
+the diagonal.
 
 Readers return ``(graph, external_ids)`` where ``external_ids[i]`` is the
 label the input used for internal vertex ``i`` (for DIMACS that is always
@@ -42,12 +44,12 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ParameterError, ParseError
-from .graph import _SYMMETRY_BLOCK, Graph, _packed_rows, _row_unpacker
+from .graph import Graph, iter_bits
 
 __all__ = [
     "FORMATS",
@@ -152,15 +154,14 @@ def _first_of_runs(values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _tokens(text: str, comment: Optional[str] = None) -> Optional[tuple[np.ndarray, ...]]:
+def _tokens(text: str) -> Optional[tuple[np.ndarray, ...]]:
     """Split regular text into tokens grouped by line, or None.
 
     Returns ``(buf, starts, ends, digits, heads, counts)``: the text as
     uint8, each token's byte span, whether it is all digits, the index of
     each non-blank line's first token and the line's token count.  Text is
     regular when it is ASCII, printable apart from separators, and has a CR
-    only before an LF; ``comment``, if given, starts a comment that runs to
-    the end of its line.
+    only before an LF.
     """
     if not text.isascii() or ("\r" in text and text.count("\r") != text.count("\r\n")):
         return None
@@ -170,19 +171,9 @@ def _tokens(text: str, comment: Optional[str] = None) -> Optional[tuple[np.ndarr
     classes = _BYTE_CLASS.take(buf)
     if classes.max() == _OTHER:
         return None
-    newlines = np.flatnonzero(buf == ord("\n"))
-    inside = classes != _SEPARATOR
-    if comment is not None and comment in text:
-        # The first comment mark of each line masks up to the line's end.
-        marks = np.flatnonzero(buf == ord(comment))
-        mark_line = newlines.searchsorted(marks)
-        first = _first_of_runs(mark_line)
-        delta = np.zeros(buf.size, dtype=np.int8)
-        delta[marks[first]] = 1
-        delta[newlines[mark_line[first]]] = -1
-        inside &= np.cumsum(delta, dtype=np.int8) == 0
     # The byte-sized arrays are as large as the file: each goes once used.
-    letters = (classes == _LETTER) & inside
+    letters = classes == _LETTER
+    inside = classes != _SEPARATOR
     del classes
     bounds = np.flatnonzero(inside[1:] != inside[:-1])
     del inside
@@ -192,7 +183,7 @@ def _tokens(text: str, comment: Optional[str] = None) -> Optional[tuple[np.ndarr
     digits = ~np.logical_or.reduceat(letters, starts) if starts.size else letters[:0]
     del letters
     # The tokens of line i, between LFs i and i + 1, are cut[i] .. cut[i + 1] - 1.
-    cut = starts.searchsorted(newlines)
+    cut = starts.searchsorted(np.flatnonzero(buf == ord("\n")))
     counts = cut[1:] - cut[:-1]
     nonblank = counts > 0
     return buf, starts, ends, digits, cut[:-1][nonblank], counts[nonblank]
@@ -228,33 +219,47 @@ def _sorted_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return keys
 
 
+# The row fill packs at most this many bytes at a time, or one row if wider.
+_FILL_BYTES = 1 << 20
+
+
 def _bulk_rows(n: int, keys: np.ndarray) -> list[int]:
     """The bit rows of the graph on ``n`` vertices whose sorted directed
     edges are ``keys = u * n + v``.
 
-    Only rows with an edge are packed, in blocks of at most
-    ``_SYMMETRY_BLOCK`` rows, so no n x n temporary is ever held.
+    Each row with an edge takes the bytes up to its last neighbour, laid
+    end to end with the rows around it in chunks of at most ``_FILL_BYTES``
+    bytes, so the fill holds no more than the rows themselves: never an
+    n x n or a rows x n temporary.
     """
     rows = [0] * n
+    if not keys.size:
+        return rows
     src, dst = np.divmod(keys, n)
-    head = _first_of_runs(src)
-    local = np.cumsum(head)  # 1 + the rank of each key's row among rows with an edge
-    local -= 1
-    first = np.append(np.flatnonzero(head), keys.size)
-    owners = src[first[:-1]].tolist()
-    del src, head
-    columns = dst >> 3
+    starts = np.flatnonzero(_first_of_runs(src))  # each row's first key
+    stops = np.append(starts[1:], keys.size)
+    owners = src[starts].tolist()
+    del src
+    widths = dst[stops - 1] // 8 + 1  # the bytes up to each row's last neighbour
+    ends = np.cumsum(widths)
+    offsets = ends - widths
+    del widths
+    at = np.repeat(offsets, stops - starts)  # the byte of each key
+    at += dst >> 3
     bits = np.left_shift(np.uint8(1), (dst & 7).astype(np.uint8))
     del dst
-    for a in range(0, len(owners), _SYMMETRY_BLOCK):
-        b = min(a + _SYMMETRY_BLOCK, len(owners))
-        span = slice(first[a], first[b])
-        block_rows = local[span]
-        block_rows -= a
-        packed = np.zeros((b - a, (n + 7) // 8), dtype=np.uint8)
-        np.bitwise_or.at(packed, (block_rows, columns[span]), bits[span])
-        for v, row in zip(owners[a:b], _packed_rows(packed)):
-            rows[v] = row
+    a = 0
+    while a < len(owners):
+        base = int(offsets[a])
+        b = max(a + 1, int(ends.searchsorted(base + _FILL_BYTES, side="right")))
+        span = slice(starts[a], stops[b - 1])
+        chunk = np.zeros(int(ends[b - 1]) - base, dtype=np.uint8)
+        np.bitwise_or.at(chunk, at[span] - base, bits[span])
+        data = chunk.tobytes()
+        for v, lo, hi in zip(owners[a:b], (offsets[a:b] - base).tolist(),
+                             (ends[a:b] - base).tolist()):
+            rows[v] = int.from_bytes(data[lo:hi], "little")
+        a = b
     return rows
 
 
@@ -310,7 +315,7 @@ def _dimacs_bulk(text: str) -> Optional[tuple[Graph, tuple[int, ...]]]:
 def _edgelist_edges(text: str) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``(labels, u, v)`` of a regular, loop-free edge-list text: its sorted
     distinct labels and the dense ids ``u[i], v[i]`` of each edge, or None."""
-    scanned = _tokens(text, comment="#")
+    scanned = _tokens(text)
     if scanned is None:
         return None
     buf, starts, ends, digits, heads, counts = scanned
@@ -466,39 +471,24 @@ def _check_external_ids(g: Graph, external_ids: Optional[Sequence[int]]) -> Sequ
     return external_ids
 
 
-# Below this many edges the writers walk ``Graph.edges()``: there numpy's
-# fixed cost per call is more than it saves per edge.
-_BULK_MIN_EDGES = 1000
-
-
-def _edge_lines(g: Graph, prefixes: Sequence[str], labels: Sequence[str]) -> list[str]:
-    """``prefixes[u] + labels[v]`` for each edge u < v, in lexicographic order.
-
-    On a graph with at least ``_BULK_MIN_EDGES`` edges, the edges come from
-    the rows unpacked in blocks of at most ``_SYMMETRY_BLOCK`` rows, and
-    numpy joins the strings.
-    """
-    if g.m < _BULK_MIN_EDGES:
-        return [prefixes[u] + labels[v] for u, v in g.edges()]
-    prefixes = np.array(prefixes, dtype=object)
-    labels = np.array(labels, dtype=object)
-    unpack = _row_unpacker(g.adjacency, g.n)
+def _edge_lines(g: Graph, labels: Mapping[int, str] | Sequence[str], lead: str) -> list[str]:
+    """``lead + labels[u] + " " + labels[v]`` for each edge u < v, in
+    lexicographic order, from labels the caller rendered once."""
     lines: list[str] = []
-    step = min(_SYMMETRY_BLOCK, max(1, (1 << 20) // g.n))  # at most 1 MiB unpacked
-    for a in range(0, g.n, step):
-        bits = unpack(a, min(a + step, g.n)).view(bool)
-        u, v = np.divmod(np.flatnonzero(bits), g.n)
-        u += a
-        upper = v > u
-        lines += (prefixes[u[upper]] + labels[v[upper]]).tolist()
+    for u, row in enumerate(g.adjacency):
+        upper = row >> (u + 1)
+        if upper:
+            prefix = f"{lead}{labels[u]} "
+            lines += [prefix + labels[u + 1 + v] for v in iter_bits(upper)]
     return lines
 
 
 def format_dimacs(g: Graph) -> str:
     """Render a graph as DIMACS text; vertices are renumbered 1..n."""
-    labels = [str(v) for v in range(1, g.n + 1)]
+    # Only vertices with an edge appear, so only they are rendered.
+    labels = {v: str(v + 1) for v, d in enumerate(g.degrees) if d}
     lines = [f"p edge {g.n} {g.m}"]
-    lines += _edge_lines(g, [f"e {label} " for label in labels], labels)
+    lines += _edge_lines(g, labels, "e ")
     return "\n".join(lines) + "\n"
 
 
@@ -511,7 +501,7 @@ def format_edgelist(
     output; by default vertices are written as 0..n-1.
     """
     labels = [str(label) for label in _check_external_ids(g, external_ids)]
-    lines = _edge_lines(g, [label + " " for label in labels], labels)
+    lines = _edge_lines(g, labels, "")
     lines.extend(labels[v] for v, d in enumerate(g.degrees) if d == 0)
     return "\n".join(lines) + ("\n" if lines else "")
 

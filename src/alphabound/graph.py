@@ -218,15 +218,6 @@ def _row_unpacker(rows: Sequence[int], n: int) -> Callable[[int, int], np.ndarra
     return lambda a, b: np.unpackbits(packed[a:b], axis=1, count=n, bitorder="little")
 
 
-def _packed_rows(packed: np.ndarray) -> list[int]:
-    """The inverse of the packing above: one Python int per row of a
-    little-endian bit-packed uint8 matrix."""
-    width = packed.shape[1]
-    data = packed.tobytes()
-    return [int.from_bytes(data[i * width : (i + 1) * width], "little")
-            for i in range(packed.shape[0])]
-
-
 def _check_symmetry(rows: tuple[int, ...], n: int) -> None:
     # Blockwise transpose comparison; avoids holding the full n x n
     # boolean matrix for large graphs.
@@ -325,7 +316,8 @@ def gnp(n: int, prob: float, seed: int) -> Graph:
             else:
                 _pack_tile(packed, block, a, c)
                 _pack_tile(packed, block.T, c, a)
-    return Graph._unchecked(_packed_rows(packed))
+    rows = [int.from_bytes(packed[i].tobytes(), "little") for i in range(n)]
+    return Graph._unchecked(rows)
 
 
 def _pack_tile(packed: np.ndarray, bits: np.ndarray, r0: int, c0: int) -> None:

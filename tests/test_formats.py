@@ -1,6 +1,7 @@
 """DIMACS and edge-list parsing, serialization, format guessing."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -332,19 +333,52 @@ def test_writers_files_take_the_bulk_path(monkeypatch):
         for text, parse, _ in _writer_files(g):
             expected = parse(text)
             assert expected[0] == g
-            # CRLF line ends, tabs, blank lines and comments are regular too.
+            # CRLF line ends, tabs, blank lines and DIMACS comments are regular
+            # too; an edge-list comment leaves the file to the line loop.
             assert parse(text.replace("\n", "\r\n")) == expected
             if text.startswith("p edge"):
                 assert parse("c\tnote\n\n" + text.replace(" ", "\t")) == expected
             else:
-                assert parse("# note\n\n" + text.replace("\n", "\t# note\n")) == expected
+                assert parse("\n\n" + text.replace(" ", "\t")) == expected
 
 
-def test_bulk_blocks_join_up(monkeypatch):
-    # Rows are packed and unpacked in blocks of _SYMMETRY_BLOCK rows; with a
-    # block of 7, every corpus graph with more than 7 vertices spans several.
+def test_row_fill_chunks_join_up(monkeypatch):
+    # The row fill packs _FILL_BYTES at a time: at 1 byte every row is its
+    # own chunk, at 5 a chunk holds one or more whole rows.
     expected = [(text, parse(text)) for g in _roundtrip_corpus()
                 for text, parse, _ in _writer_files(g)]
-    monkeypatch.setattr(formats, "_SYMMETRY_BLOCK", 7)
-    assert [(text, parse(text)) for g in _roundtrip_corpus()
-            for text, parse, _ in _writer_files(g)] == expected
+    for size in (1, 5):
+        monkeypatch.setattr(formats, "_FILL_BYTES", size)
+        assert [(text, parse(text)) for g in _roundtrip_corpus()
+                for text, parse, _ in _writer_files(g)] == expected
+
+
+def _peak_bytes(call):
+    """The result of ``call()`` and the most memory it held at once."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_file_io_memory_follows_the_file_not_n_squared(monkeypatch):
+    # A star centred at vertex 1 puts an edge in every row: a fill with rows
+    # as wide as n would hold 30,000 x 3,750 bytes.  Its rows need 34 kB, and
+    # the parse holds a few dozen bytes per byte of text (tokens, keys), in
+    # chunks or with the whole fill as one chunk.
+    n = 30_000
+    text = f"p edge {n} {n - 1}\n" + "".join(f"e 1 {v}\n" for v in range(2, n + 1))
+    star = ab.Graph.from_edges(n, ((0, v) for v in range(1, n)))
+    for size in (formats._FILL_BYTES, 1 << 62):
+        monkeypatch.setattr(formats, "_FILL_BYTES", size)
+        (g, _), peak = _peak_bytes(lambda: ab.parse_dimacs(text))
+        assert g == star
+        assert peak < 32 * len(text)
+    # Writing a path or an edgeless graph holds some bytes per byte written
+    # (a line is a str, a label a str), not n x n bits.
+    path = ab.path_graph(n)
+    for g, fmt in ((path, "dimacs"), (path, "edgelist"), (ab.empty_graph(10 * n), "dimacs")):
+        text, peak = _peak_bytes(lambda: ab.format_graph(g, fmt))
+        assert peak < 32 * len(text) + 10**6, (fmt, g.n, g.m)
