@@ -75,8 +75,8 @@ def kernelize(g: Graph, k: int) -> KernelResult:
     """Peel every vertex of degree >= n - p + k in one simultaneous pass.
 
     Requires an integer k >= 0 and p >= 2k + 1 (ParameterError otherwise;
-    the answer-preservation argument needs the headroom).  Work is one
-    degree scan plus the induced subgraph build.
+    the answer-preservation argument needs the headroom).  Work is two
+    degree scans plus the induced subgraph build, which probes every kept pair.
     """
     p = nonedge_bound(g)
     _require_headroom(p, k)

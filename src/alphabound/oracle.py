@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import InternalError, ResourceLimitError
-from .graph import Graph, iter_bits
+from .graph import Graph, _mask_independent, iter_bits
 
 __all__ = [
     "DEFAULT_CAP",
@@ -110,16 +110,6 @@ def alpha_by_enumeration(g: Graph) -> tuple[int, tuple[int, ...]]:
         if size > best_size and _mask_independent(rows, mask):
             best_size, best_mask = size, mask
     return best_size, tuple(iter_bits(best_mask))
-
-
-def _mask_independent(rows: Iterable[int], mask: int) -> bool:
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if rows[low.bit_length() - 1] & mask:
-            return False
-    return True
 
 
 def is_augmenting_set(g: Graph, i_set: Iterable[int], s_set: Iterable[int]) -> bool:

@@ -175,11 +175,12 @@ def verify_decision(g, k: int, decision: Decision) -> bool:
     (at most p - k), the n0 of a trivial kernel, or the cover budget of a
     non-trivial one, whose ``nodes_explored`` must be the count a replay of
     the search exhausts at.  A NO is accepted only at VC_SEARCH, with
-    p - k + 1 distinct int vertices of g, independent in it.  A certificate
-    that is not a dict is False.
+    p - k + 1 distinct int vertices of g, independent in it.  A stage that
+    is not a str, or a certificate that is not a dict, is False.
     """
     p = nonedge_bound(g)
     if (not _headroom_ok(p, k) or decision.answer not in (YES, NO)
+            or not isinstance(decision.resolved_at, str)
             or not isinstance(decision.certificate, dict)):
         return False
     target = p - k
@@ -188,8 +189,8 @@ def verify_decision(g, k: int, decision: Decision) -> bool:
         vertices = cert.get("vertices")
         return (stage == "VC_SEARCH" and isinstance(vertices, list)
                 and cert == _no_certificate(vertices, target + 1)
-                and len(vertices) == len(set(vertices)) == target + 1
                 and all(type(v) is int and 0 <= v < g.n for v in vertices)
+                and len(vertices) == len(set(vertices)) == target + 1
                 and g.is_independent_set(vertices))
     if stage in _BOUND_NAMES:
         bound = degree_sequence_bound if stage == "P1_BOUND" else neighborhood_union_bound

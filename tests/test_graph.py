@@ -1,11 +1,13 @@
 """Graph core: construction, validation, queries, generators."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import alphabound as ab
-from helpers import graphs, petersen
+from helpers import all_labeled_graphs, graphs, petersen
 
 
 def test_from_edges_basics():
@@ -48,6 +50,7 @@ def test_constructor_validates_rows():
         (600, 599, range(600)),  # inside the single diagonal block
         (4100, 4099, range(4096)),  # off-diagonal block past row 4,096
         (4100, 7, range(4096, 4100)),  # its mirror, past column 4,096
+        (8200, 5000, range(4096, 8192)),  # the diagonal pair of row block 2
     ],
 )
 def test_constructor_rejects_one_way_arcs(n, u, columns):
@@ -132,10 +135,44 @@ def test_set_predicates():
     assert ab.empty_graph(3).is_vertex_cover([])
     with pytest.raises(ValueError):
         c5.is_independent_set([9])
+    with pytest.raises(ValueError):
+        c5.is_vertex_cover([-1])
     for query in (lambda: c5.degree(5), lambda: c5.has_edge(0, 5),
                   lambda: c5.has_edge(-1, 0), lambda: c5.neighbors(-1)):
         with pytest.raises(ValueError, match="out of range"):
             query()
+
+
+def test_set_predicates_exhaustively():
+    # Every graph on at most 5 vertices and every vertex subset S: S covers
+    # exactly when V - S is independent, and both match the edge list.
+    for n in range(6):
+        for g in all_labeled_graphs(n):
+            edges = list(g.edges())
+            for bits in range(1 << n):
+                s = [v for v in range(n) if (bits >> v) & 1]
+                rest = [v for v in range(n) if not (bits >> v) & 1]
+                independent = not any((bits >> u) & 1 and (bits >> v) & 1 for u, v in edges)
+                covers = all((bits >> u) & 1 or (bits >> v) & 1 for u, v in edges)
+                assert g.is_independent_set(s) == independent
+                assert g.is_vertex_cover(s) == covers == g.is_independent_set(rest)
+
+
+@pytest.mark.parametrize(
+    "n, prob, seed, digest",
+    [
+        (1030, 0.01, 9, "cd75e3b88a3590e7ee151d1fff75f2f06c23c78f09583ab58e87a4acc996c731"),
+        (2100, 0.3, 4, "c3d23384f1020323d9ff0d05a3c5a878b76553080e0aab2e5c52475ccf6cfb4a"),
+        (1, 0.5, 1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"),
+    ],
+)
+def test_gnp_output_is_pinned(n, prob, seed, digest):
+    # sha256 of the rows, each as ceil(n/8) little-endian bytes.  The second
+    # case spans a 3 x 3 grid of tiles.
+    g = ab.gnp(n, prob, seed)
+    nbytes = (n + 7) // 8
+    rows = b"".join(row.to_bytes(nbytes, "little") for row in g.adjacency)
+    assert hashlib.sha256(rows).hexdigest() == digest
 
 
 def test_gnp_deterministic_and_extremes():
@@ -160,6 +197,8 @@ def test_gnp_across_tile_boundary():
 def test_iter_bits():
     assert list(ab.iter_bits(0)) == []
     assert list(ab.iter_bits(0b101001)) == [0, 3, 5]
+    with pytest.raises(ValueError, match="negative"):
+        next(ab.iter_bits(-1))
 
 
 def test_equality_and_hash():

@@ -188,6 +188,8 @@ def _tampered(d):
     for stage in STAGES:
         if stage != d.resolved_at:
             yield f"resolved_at {stage}", replace(d, resolved_at=stage)
+    yield "resolved_at as a list", replace(d, resolved_at=[d.resolved_at])
+    yield "resolved_at as a dict", replace(d, resolved_at={})
     yield "key added", recert(note=0)
     for key in cert:
         dropped = {f: v for f, v in cert.items() if f != key}
@@ -208,6 +210,7 @@ def _tampered(d):
         vertices = cert["vertices"]
         yield "duplicate vertex", recert(vertices=vertices[:-1] + vertices[:1])
         yield "vertex as text", recert(vertices=vertices[:-1] + [str(vertices[-1])])
+        yield "vertices in lists", recert(vertices=[[v] for v in vertices])
 
 
 def test_verify_rejects_tampered_certificate():
