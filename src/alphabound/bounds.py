@@ -102,9 +102,16 @@ def welsh_powell_chromatic_bound(g: Graph) -> int:
 
 
 def _h_index(values: list[int]) -> int:
-    """max_i min(i, v_i), values sorted descending: largest i with i values >= i."""
+    """max_i min(i, v_i), values sorted descending: largest i with i values >= i.
+
+    While v_i >= i the term is i.  At the first i with v_i < i every later
+    term is at most v_i <= i - 1, so the scan stops there with i - 1.
+    """
     desc = sorted(values, reverse=True)
-    return max((min(i, v) for i, v in enumerate(desc, 1)), default=0)
+    for h, v in enumerate(desc):
+        if v <= h:
+            return h
+    return len(desc)
 
 
 def neighborhood_union_sequence(g: Graph, u: int) -> tuple[int, ...]:

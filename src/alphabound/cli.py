@@ -27,7 +27,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 from .bounds import bounds_report
@@ -68,7 +68,8 @@ class RunReport:
     wall_ms: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        # Shallow: asdict would deep-copy every nested result list and dict.
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":

@@ -14,8 +14,9 @@ construction and are built unchecked.  Degrees are counted once, where rows
 enter, on both paths: the one ``bit_count`` per row that gives ``m`` is kept
 as ``degrees``, and no later stage recounts a row.
 
-A graph also carries two private memo slots, ``_bounds`` (its bounds report
-without p2) and ``_p2``, both None until ``pipeline.decide``, their one
+A graph also carries three private memo slots: ``_bounds`` (its bounds
+report without p2), ``_p2_lb`` (the degree-only screen on p2) and ``_p2``
+(the bounds report with p2), all None until ``pipeline.decide``, their one
 reader and writer, fills them.  They hold facts of the rows alone, so a
 second decision on the same graph reuses them whatever its k.
 
@@ -68,7 +69,7 @@ class Graph:
     immutable by convention; all public fields are read-only data.
     """
 
-    __slots__ = ("n", "m", "adjacency", "degrees", "_bounds", "_p2")
+    __slots__ = ("n", "m", "adjacency", "degrees", "_bounds", "_p2_lb", "_p2")
 
     def __init__(self, adjacency: Sequence[int]):
         rows = tuple(adjacency)
@@ -96,7 +97,7 @@ class Graph:
         self.degrees = tuple([row.bit_count() for row in rows])
         total = sum(self.degrees)
         self.m = total // 2
-        self._bounds = self._p2 = None
+        self._bounds = self._p2_lb = self._p2 = None
         return total
 
     @classmethod

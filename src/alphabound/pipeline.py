@@ -16,11 +16,12 @@ Stages, cheapest first; the first conclusive stage answers:
 Bounds can only ever produce YES; every NO carries a witness that is
 re-checked against the input graph before the decision is returned.
 
-p, p1 and p2 are facts of the graph alone; only the target p - k depends on
-k.  So ``decide`` keeps them on the graph object, in its private ``_bounds``
-(the report without p2) and ``_p2`` slots, and a later call on the same
-object reuses them.  Nothing else reads these slots: ``verify_decision``
-re-derives each certificate from the graph alone and compares it whole.
+p, p1, the screen p2_lb and p2 are facts of the graph alone; only the
+target p - k depends on k.  So ``decide`` keeps them on the graph object, in
+three private slots: ``_bounds`` (the report without p2), ``_p2_lb`` and
+``_p2`` (the report with p2), and a later call on the same object reuses
+them.  Nothing else reads these slots: ``verify_decision`` re-derives each
+certificate from the graph alone and compares it whole.
 """
 
 from __future__ import annotations
@@ -103,9 +104,10 @@ def decide(
 
     ``skip_bound_steps`` is a diagnostic switch that jumps straight to the
     kernel stage; it never changes the answer, only ``resolved_at``.
-    The bounds report is computed on the first call on ``g`` and p2 the
-    first time the screen lets it answer; both are kept on ``g`` for later
-    calls.  ParameterError, before any work, when ``node_budget`` is below 1.
+    The bounds report is computed on the first call on ``g``, the screen
+    the first time P1 fails, and p2 the first time the screen lets it
+    answer; all three are kept on ``g`` for later calls.  ParameterError,
+    before any work, when ``node_budget`` is below 1.
     """
     _require_node_budget(node_budget)
     if g._bounds is None:
@@ -121,15 +123,17 @@ def decide(
     if not skip_bound_steps:
         if p1 <= target:
             return yes("P1_BOUND", p1)
-        if neighborhood_union_lower_bound(g) <= target:
+        if g._p2_lb is None:
+            g._p2_lb = neighborhood_union_lower_bound(g)
+        if g._p2_lb <= target:
             if g._p2 is None:
                 p2 = neighborhood_union_bound(g)
                 if p2 > p1:
                     raise InternalError(f"bound chain broken: p2={p2}, p1={p1}")
-                g._p2 = p2
-            report = replace(report, p2=g._p2)
-            if g._p2 <= target:
-                return yes("P2_BOUND", g._p2)
+                g._p2 = replace(report, p2=p2)
+            report = g._p2
+            if report.p2 <= target:
+                return yes("P2_BOUND", report.p2)
 
     kr = kernelize(g, k)
     if kr.trivially_yes:
@@ -154,7 +158,7 @@ def decide_many(g) -> list[tuple[int, Decision]]:
     so the answers must form a YES-prefix; that is checked before returning.
     Each search gets ``DEFAULT_NODE_BUDGET``; call :func:`decide` per k for
     another cap.  Each entry is ``decide(g, k)``, so ``g`` keeps its bounds
-    across the sweep: they are computed once and p2 at most once per graph.
+    across the sweep: the report once, the screen and p2 at most once each.
     """
     results = [(k, decide(g, k)) for k in range((nonedge_bound(g) - 1) // 2 + 1)]
     seen_no = False

@@ -1,11 +1,13 @@
 """Independence-number bounds: counting, degree-sequence, neighborhood-union."""
 
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 
 import alphabound as ab
+from alphabound.bounds import _h_index
 from helpers import (
     all_labeled_graphs,
     graphs,
@@ -98,6 +100,15 @@ def test_welsh_powell_values():
     assert ab.welsh_powell_chromatic_bound(ab.empty_graph(4)) == 1
     assert ab.welsh_powell_chromatic_bound(ab.cycle_graph(5)) == 3
     assert ab.welsh_powell_chromatic_bound(ab.empty_graph(0)) == 0
+
+
+def test_h_index_stops_at_the_max_min():
+    # Every tuple of length <= 5 over 0..7, in every order the sort must undo.
+    for length in range(6):
+        for values in product(range(8), repeat=length):
+            desc = sorted(values, reverse=True)
+            expected = max((min(i, v) for i, v in enumerate(desc, 1)), default=0)
+            assert _h_index(list(values)) == expected
 
 
 @given(graphs(max_n=10))

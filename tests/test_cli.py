@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -343,6 +344,28 @@ def test_run_report_roundtrip():
         wall_ms=1.25,
     )
     assert RunReport.from_json(rep.to_json()) == rep
+
+
+def test_to_json_is_the_asdict_dump(c5_path, tmp_path, capsys, monkeypatch):
+    dumped = []
+    original = RunReport.to_json
+
+    def recording(report):
+        text = original(report)
+        dumped.append((report, text))
+        return text
+
+    monkeypatch.setattr(RunReport, "to_json", recording)
+    h10 = tmp_path / "h10.col"
+    ab.write_graph(ab.h_np(10, 4), str(h10))
+    runs = (["decide", c5_path, "--k", "1"], ["decide", str(h10), "--k", "1"],
+            ["kernel", str(h10), "--k", "1", "--emit", str(tmp_path / "k.edges")],
+            ["bounds", c5_path, "--p2"])
+    for argv in runs:
+        run_cli(capsys, *argv)
+    assert len(dumped) == len(runs)
+    for report, text in dumped:
+        assert text == json.dumps(asdict(report), indent=2)
 
 
 # Run under ``python -O``, which strips plain asserts: a certificate that

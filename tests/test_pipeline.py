@@ -86,7 +86,8 @@ def _seeded_graphs(count, seed):
 
 
 def test_decide_many_computes_bounds_once_per_graph(monkeypatch):
-    calls = {"bounds_report": 0, "neighborhood_union_bound": 0}
+    calls = {"bounds_report": 0, "neighborhood_union_lower_bound": 0,
+             "neighborhood_union_bound": 0}
 
     def counted(name):
         original = getattr(pipeline, name)
@@ -106,17 +107,19 @@ def test_decide_many_computes_bounds_once_per_graph(monkeypatch):
             calls[name] = 0
         swept += len(ab.decide_many(g)) > 1
         assert calls["bounds_report"] == 1
+        assert calls["neighborhood_union_lower_bound"] <= 1
         assert calls["neighborhood_union_bound"] <= 1
         # The graph keeps its bounds: a second sweep computes none of them.
         for name in calls:
             calls[name] = 0
         ab.decide_many(g)
-        assert calls == {"bounds_report": 0, "neighborhood_union_bound": 0}
+        assert set(calls.values()) == {0}
     assert swept > 40
 
 
 def test_decisions_equal_those_of_a_fresh_copy():
     hidden = 0
+    rng = random.Random(11)
     for g in _seeded_graphs(150, seed=5) + [ab.h_np(10, 4), ab.cycle_graph(5), petersen()]:
         swept = ab.decide_many(g)
         fresh = [(k, ab.decide(ab.Graph(g.adjacency), k)) for k, _ in swept]
@@ -127,6 +130,11 @@ def test_decisions_equal_those_of_a_fresh_copy():
         h = ab.Graph(g.adjacency)
         backwards = [(k, ab.decide(h, k)) for k, _ in reversed(swept)]
         assert backwards[::-1] == fresh
+        # Any order of k fills the memo slots in another order, to the same end.
+        shuffled = ab.Graph(g.adjacency)
+        order = [k for k, _ in swept]
+        rng.shuffle(order)
+        assert sorted((k, ab.decide(shuffled, k)) for k in order) == fresh
         hidden += sum(
             h._p2 is not None and d.resolved_at != "P1_BOUND" and d.bounds.p2 is None
             for _, d in fresh
@@ -137,8 +145,8 @@ def test_decisions_equal_those_of_a_fresh_copy():
 def test_verify_decision_does_not_trust_the_memo():
     c5 = ab.cycle_graph(5)
     assert ab.decide(c5, 1).resolved_at == "P2_BOUND"
-    assert (c5._bounds.p1, c5._p2) == (3, 2)
-    c5._p2 = 1
+    assert (c5._bounds.p1, c5._p2.p2) == (3, 2)
+    c5._p2 = replace(c5._p2, p2=1)
     d = ab.decide(c5, 1)
     assert (d.resolved_at, d.certificate["value"]) == ("P2_BOUND", 1)
     assert not ab.verify_decision(c5, 1, d)
@@ -146,6 +154,12 @@ def test_verify_decision_does_not_trust_the_memo():
     d = ab.decide(c5, 1)
     assert (d.resolved_at, d.certificate["value"]) == ("P1_BOUND", 2)
     assert not ab.verify_decision(c5, 1, d)
+    # A screen set too high skips p2, which bounds cannot make wrong: the
+    # later stages still give an answer that the re-check accepts.
+    c9 = ab.cycle_graph(9)
+    c9._p2_lb = c9.n + 1
+    d = ab.decide(c9, 1)
+    assert d.resolved_at != "P2_BOUND" and ab.verify_decision(c9, 1, d)
 
 
 def test_screen_never_hides_a_p2_answer():
