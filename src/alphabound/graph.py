@@ -25,6 +25,7 @@ second decision on the same graph reuses them whatever its k.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -158,19 +159,28 @@ class Graph:
 
         Kept vertices are renumbered in increasing old-id order.  Keeping
         every vertex returns ``self`` unchanged with the identity mapping.
+        Each kept row, masked to the kept set, is walked from its top set bit
+        down, so the part left to walk shrinks at every step and the build
+        costs O(n0 + kept edges) bit steps, not one per kept pair.
         """
-        kept = sorted(set(keep))
+        kept = sorted(set(map(index, keep)))
         if kept and not (0 <= kept[0] and kept[-1] < self.n):
             raise ValueError("induced_subgraph ids out of range")
         if len(kept) == self.n:
             return self, tuple(range(self.n))
+        bit_of = [0] * self.n  # old id -> its bit in the new rows
+        mask = 0
+        for j, v in enumerate(kept):
+            bit_of[v] = 1 << j
+            mask |= 1 << v
         rows = []
         for u in kept:
-            old = self.adjacency[u]
+            rest = self.adjacency[u] & mask
             row = 0
-            for j, v in enumerate(kept):
-                if (old >> v) & 1:
-                    row |= 1 << j
+            while rest:
+                v = rest.bit_length() - 1
+                rest ^= 1 << v
+                row |= bit_of[v]
             rows.append(row)
         return Graph._unchecked(rows), tuple(kept)
 
@@ -188,7 +198,7 @@ class Graph:
         for v in vs:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range")
-            mask |= 1 << v
+            mask |= 1 << index(v)  # a numpy int shifts as an int; a float is a TypeError
         return mask
 
     # -- plumbing --------------------------------------------------------

@@ -75,19 +75,21 @@ def kernelize(g: Graph, k: int) -> KernelResult:
     """Peel every vertex of degree >= n - p + k in one simultaneous pass.
 
     Requires an integer k >= 0 and p >= 2k + 1 (ParameterError otherwise;
-    the answer-preservation argument needs the headroom).  Work is two
-    degree scans plus the induced subgraph build, which probes every kept pair.
+    the answer-preservation argument needs the headroom).  Work is one
+    degree pass plus the induced subgraph build, which walks the set bits of
+    each kept row: O(n + n0 + kept edges) bit steps.
     """
     p = nonedge_bound(g)
     _require_headroom(p, k)
     threshold = g.n - p + k
-    keep = [v for v, d in enumerate(g.degrees) if d < threshold]
-    removed = tuple(v for v, d in enumerate(g.degrees) if d >= threshold)
+    keep, removed = [], []
+    for v, d in enumerate(g.degrees):
+        (keep if d < threshold else removed).append(v)
     kernel, mapping = g.induced_subgraph(keep)
     n0 = kernel.n
     return KernelResult(
         kernel=kernel,
-        removed=removed,
+        removed=tuple(removed),
         mapping=mapping,
         n0=n0,
         p=p,

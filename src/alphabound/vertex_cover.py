@@ -70,7 +70,11 @@ def _clique_partition(rows: Sequence[int], active: int) -> Iterator[int]:
         cand = rows[part.bit_length() - 1] & active
         while cand:
             best, u = -1, -1
-            for w in iter_bits(cand):
+            rest = cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
                 c = (rows[w] & cand).bit_count()
                 if c > best:
                     best, u = c, w
@@ -119,15 +123,21 @@ def vertex_cover_decide(
         deg = [0] * n
         leaves = 0
         deg_sum = 0
-        for v in iter_bits(active):
+        # The bit walks here are inline: a generator frame per bit would
+        # cost more than the step it yields.
+        rest = active
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             d = (rows[v] & active).bit_count()
             if d == 0:
-                active ^= 1 << v  # isolated: irrelevant to any cover
+                active ^= low  # isolated: irrelevant to any cover
                 continue
             deg[v] = d
             deg_sum += d
             if d == 1:
-                leaves |= 1 << v
+                leaves |= low
         while deg_sum and budget > 0:
             if leaves:
                 # Some optimum takes the neighbour of a degree-1 vertex.
@@ -147,13 +157,17 @@ def vertex_cover_decide(
             deg_sum -= 2 * deg[x]
             deg[x] = 0
             budget -= 1
-            for u in iter_bits(rows[x] & active):
+            rest = rows[x] & active
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
                 d = deg[u] = deg[u] - 1
                 if d == 0:  # u was a leaf of x; it leaves both masks
-                    active ^= 1 << u
-                    leaves ^= 1 << u
+                    active ^= low
+                    leaves ^= low
                 elif d == 1:
-                    leaves |= 1 << u
+                    leaves |= low
         if not deg_sum:  # edgeless; budget >= 0 throughout
             found = tuple(iter_bits(cover))
             if len(found) > t or not g.is_vertex_cover(found):

@@ -25,6 +25,13 @@ def all_labeled_graphs(n: int):
         yield ab.Graph.from_edges(n, (pairs[i] for i in ab.iter_bits(mask)))
 
 
+def reference_induced_rows(g: ab.Graph, kept) -> tuple[int, ...]:
+    """Rows of ``g`` induced on the ascending ids ``kept``, one probe per pair."""
+    return tuple(
+        sum(1 << j for j, v in enumerate(kept) if (g.adjacency[u] >> v) & 1) for u in kept
+    )
+
+
 def petersen() -> ab.Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]

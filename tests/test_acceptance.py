@@ -1,4 +1,5 @@
-"""Acceptance gate: ten end-to-end checks, one test per criterion.
+"""Acceptance gate: ten end-to-end checks, one test per criterion, and a
+second scaling check beside AC10 on a host whose kernel is large.
 
 Each test prints a single ``ACn PASS`` line with the measured statistics;
 pytest -v shows one PASSED/FAILED row per criterion.  Corpora are seeded and
@@ -230,3 +231,27 @@ def test_ac10_kernelization_scales_near_linearly():
         f"AC10 PASS: kernelize n=10000 in {t_small * 1000:.1f} ms; "
         f"doubling ratio {ratio:.2f} <= 5.0"
     )
+
+
+def _cycle_plus_hub(n):
+    """C_(n-1) plus a hub joined to every (n // 10)-th cycle vertex."""
+    c = n - 1
+    edges = [(v, (v + 1) % c) for v in range(c)]
+    edges += [(v, c) for v in range(0, c, n // 10)]
+    return ab.Graph.from_edges(n, edges)
+
+
+def test_ac10_kernel_build_scales_when_the_kernel_keeps_the_cycle():
+    # Beside AC10, whose dense host keeps no vertex: here kernelize at k = 2
+    # peels only the hub, so the induced build carries the whole cost.
+    times = []
+    for n in (2001, 4001, 8001):
+        g = _cycle_plus_hub(n)
+        assert ab.kernelize(g, 2).n0 == n - 1
+        times.append(_best_time(lambda: ab.kernelize(g, 2)))
+    floor = 0.010  # AC10's noise floor and ratio bound, per doubling
+    for t_small, t_large in zip(times, times[1:]):
+        ratio = t_large / max(t_small, floor)
+        assert ratio <= 5.0 or t_large <= floor, times
+    print("AC10 hub PASS: kernelize n=2001/4001/8001 in "
+          + "/".join(f"{t * 1000:.1f}" for t in times) + " ms")

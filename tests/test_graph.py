@@ -1,13 +1,15 @@
 """Graph core: construction, validation, queries, generators."""
 
 import hashlib
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import alphabound as ab
-from helpers import all_labeled_graphs, graphs, petersen
+from helpers import all_labeled_graphs, graphs, petersen, reference_induced_rows
 
 
 def test_from_edges_basics():
@@ -122,6 +124,54 @@ def test_induced_subgraph():
     assert dedup.n == 2 and dmap == (0, 1)
     with pytest.raises(ValueError):
         g.induced_subgraph([0, 99])
+
+
+def _assert_induces_like_the_pair_probe(g, kept):
+    sub, mapping = g.induced_subgraph(kept)
+    assert mapping == tuple(kept)
+    assert sub.adjacency == reference_induced_rows(g, kept)
+    assert sub.degrees == tuple(row.bit_count() for row in sub.adjacency)
+
+
+def test_induced_subgraph_matches_the_pair_probe_on_small_graphs():
+    # Every labelled graph on at most 6 vertices.  Below 6 every vertex
+    # subset is induced; at 6 (32,768 graphs, 2.1M subsets in all) each graph
+    # takes four subsets, rotated so every subset meets 2,048 graphs.
+    for n in range(7):
+        subsets = [[v for v in range(n) if (bits >> v) & 1] for bits in range(1 << n)]
+        for i, g in enumerate(all_labeled_graphs(n)):
+            chosen = subsets if n < 6 else [subsets[(i + 16 * r) % 64] for r in range(4)]
+            for kept in chosen:
+                _assert_induces_like_the_pair_probe(g, kept)
+
+
+@pytest.mark.parametrize(
+    "n, prob, seed", [(60, 0.5, 1), (300, 0.05, 2), (1100, 0.3, 3), (2100, 0.01, 4)]
+)
+def test_induced_subgraph_matches_the_pair_probe_on_seeded_gnp(n, prob, seed):
+    g = ab.gnp(n, prob, seed)
+    rng = random.Random(seed)
+    for share in (0.1, 0.5, 0.9):
+        _assert_induces_like_the_pair_probe(g, sorted(rng.sample(range(n), int(n * share))))
+    _assert_induces_like_the_pair_probe(g, list(range(n - 1)))
+
+
+def test_numpy_ids_act_as_ints():
+    # 1 << np.int64(64) is 0, so numpy ids must become ints before any shift.
+    g = ab.complete_graph(100)
+    for ids in ([64, 65], [3, 99], [70]):
+        arr = np.array(ids, dtype=np.int64)
+        assert g.is_independent_set(arr) == g.is_independent_set(ids) == (len(ids) == 1)
+        cover = np.array([v for v in range(100) if v not in ids], dtype=np.int64)
+        assert g.is_vertex_cover(cover) == g.is_vertex_cover(cover.tolist())
+    sub, mapping = g.induced_subgraph(np.array([1, 5, 70, 99]))
+    assert (sub, mapping) == g.induced_subgraph([1, 5, 70, 99])
+    assert sub == ab.complete_graph(4) and all(type(v) is int for v in mapping)
+    same, ident = g.induced_subgraph(np.arange(100))
+    assert same is g and ident == tuple(range(100))
+    for query in (lambda: g.is_independent_set([1.0]), lambda: g.induced_subgraph([2.5])):
+        with pytest.raises(TypeError):
+            query()
 
 
 def test_set_predicates():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 import alphabound as ab
-from helpers import graphs
+from helpers import graphs, reference_induced_rows
 
 
 def test_clique_join_kernel():
@@ -68,6 +68,18 @@ def test_kernel_invariants(g):
         alpha_g = ab.exact_alpha(g)[0]
         alpha_k = ab.exact_alpha(kr.kernel)[0]
         assert (alpha_g <= p - k) == (alpha_k <= p - k)
+
+
+def test_sparse_kernel_is_the_pair_probe_induce():
+    # n0 = 676 of 10,000: the kernel keeps sparse rows of a large host.
+    g = ab.gnp(10_000, 0.001, 1)
+    kr = ab.kernelize(g, 0)
+    assert kr.n0 == 676
+    assert tuple(sorted(kr.mapping + kr.removed)) == tuple(range(g.n))
+    assert kr.kernel.adjacency == reference_induced_rows(g, kr.mapping)
+    threshold = g.n - kr.p + kr.k
+    assert all(g.degrees[v] < threshold for v in kr.mapping)
+    assert all(g.degrees[v] >= threshold for v in kr.removed)
 
 
 def test_precondition_has_one_message():

@@ -92,6 +92,20 @@ FROZEN_COVERS = {
 }
 
 
+# The nodes each FROZEN_COVERS search explores, pinned exactly: computed with
+# the worklist search and clique-partition bound as they stood before their
+# set-bit walks were inlined.  A rewrite of the per-node loop that changes the
+# tree, and not only its speed, moves these counts.
+FROZEN_NODES = {
+    (12, 0.3, 0): {5: 3, 6: 3, 8: 3},
+    (16, 0.25, 1): {8: 5, 9: 6, 11: 5},
+    (20, 0.2, 2): {11: 9, 12: 5},
+    (24, 0.3, 4): {14: 11, 15: 7},
+    (30, 0.2, 6): {18: 17, 19: 10},
+    (30, 0.4, 7): {22: 27, 23: 18},
+}
+
+
 @pytest.mark.parametrize("spec", sorted(FROZEN_COVERS))
 def test_frozen_covers(spec):
     g = ab.gnp(*spec[:2], seed=spec[2])
@@ -99,6 +113,7 @@ def test_frozen_covers(spec):
         out = ab.vertex_cover_decide(g, t)
         assert (out.covered, out.cover) == (cover is not None, cover)
         assert out.nodes_explored <= nodes
+        assert out.nodes_explored == FROZEN_NODES[spec][t]
 
 
 def _same_search(g, t):
