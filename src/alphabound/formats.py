@@ -22,18 +22,25 @@ extensions; everything here dispatches through it.
 Each parser has two paths, chosen from the text alone.  The bulk pass reads
 the whole file as one byte array and does every check on numpy arrays:
 range, self-loops and, for DIMACS, duplicates and the declared edge count.
-It takes a file only when every line is regular: blank, a DIMACS ``c``
+It takes a file only when every line is regular: empty, a DIMACS ``c``
 comment or header, or an ``e u v`` (DIMACS) or one- or two-token (edge
 list) line whose numbers are ASCII digits, at most 18 of them, with tokens
-separated by spaces or tabs and lines ended by ``\\n`` or ``\\r\\n``.  Any
-other file (an edge list with a ``#`` comment among them), and any file
-that fails a check, goes to the line loop, which reads one line at a time.
-The line loop is the reference the bulk pass must agree with, and the only
+separated by spaces or tabs, no space or tab before the first token, and
+lines ended by ``\\n`` or ``\\r\\n``.  Any other file (an edge list with a
+``#`` comment among them, or a line indented by a space), and any file that
+fails a check, goes to the line loop, which reads one line at a time.  The
+line loop is the reference the bulk pass must agree with, and the only
 source of a ``ParseError``: its message and line number.  Both paths
-validate once and wrap the rows they fill unchecked.  The bulk pass fills
-each row only up to its last neighbour, a bounded chunk of rows at a time.
-The writers render each vertex label once and walk each row's bits above
-the diagonal.
+validate once and wrap the rows they fill unchecked.
+
+The bulk pass makes few passes over the text: byte counts check it is
+regular, one pass finds the tokens, and a token opens its line when the
+byte before it is an LF.  The number pass checks each digit as it takes
+it.  Edge-list labels are ranked through a presence table while the
+largest is below the token count, and by a sort above that.  The row fill
+sums each byte's bits, a bounded chunk of rows at a time, each row only up
+to its last neighbour.  The writers render each vertex label once and walk
+each row's bits above the diagonal.
 
 Readers return ``(graph, external_ids)`` where ``external_ids[i]`` is the
 label the input used for internal vertex ``i`` (for DIMACS that is always
@@ -42,6 +49,7 @@ label the input used for internal vertex ``i`` (for DIMACS that is always
 
 from __future__ import annotations
 
+import bisect
 import os
 from collections import namedtuple
 from typing import Mapping, Optional, Sequence
@@ -49,7 +57,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, ParseError
-from .graph import Graph, iter_bits
+from .graph import Graph
 
 __all__ = [
     "FORMATS",
@@ -137,13 +145,7 @@ def parse_edgelist(text: str) -> tuple[Graph, tuple[int, ...]]:
 _MAX_DIGITS = 18  # 10^18 - 1 < 2^63, so every regular number fits an int64
 # The bulk pass takes n below 2^31, so a directed key u * n + v fits an int64.
 _MAX_BULK_N = 1 << 31
-# Byte classes: a separator (space, tab, CR, LF), a digit, another printable
-# ASCII byte, or a byte the bulk pass leaves to the line loop.
-_SEPARATOR, _DIGIT, _LETTER, _OTHER = 0, 1, 2, 3
-_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_CLASS[0x21:0x7F] = _LETTER
-_BYTE_CLASS[0x30:0x3A] = _DIGIT
-_BYTE_CLASS[list(b" \t\r\n")] = _SEPARATOR
+_LF, _CR, _TAB, _SPACE = b"\n\r\t "
 
 
 def _first_of_runs(values: np.ndarray) -> np.ndarray:
@@ -157,53 +159,61 @@ def _first_of_runs(values: np.ndarray) -> np.ndarray:
 def _tokens(text: str) -> Optional[tuple[np.ndarray, ...]]:
     """Split regular text into tokens grouped by line, or None.
 
-    Returns ``(buf, starts, ends, digits, heads, counts)``: the text as
-    uint8, each token's byte span, whether it is all digits, the index of
-    each non-blank line's first token and the line's token count.  Text is
-    regular when it is ASCII, printable apart from separators, and has a CR
-    only before an LF.
+    Returns ``(buf, starts, ends, heads, counts)``: the text as uint8, each
+    token's byte span, the index of each non-blank line's first token and
+    the line's token count.  Text is regular when it is ASCII, has no DEL
+    and no byte below 32 but tab, LF and CR, has a CR only before an LF
+    (the end of the text counts as one), and has no line that opens with a
+    space or a tab.
     """
-    if not text.isascii() or ("\r" in text and text.count("\r") != text.count("\r\n")):
+    if not text.isascii():
         return None
     # Between two LFs, every token has a separator on each side and every
     # line ends with an LF.
-    buf = np.frombuffer(f"\n{text}\n".encode("ascii"), dtype=np.uint8)
-    classes = _BYTE_CLASS.take(buf)
-    if classes.max() == _OTHER:
+    raw = f"\n{text}\n".encode("ascii")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    lf = (buf == _LF).nonzero()[0]
+    opening = buf[1:][lf[:-1]]  # the first byte of each line
+    tab = b"\t" in raw
+    controls = lf.size + (np.count_nonzero(buf == _TAB) if tab else 0)
+    if b"\r" in raw:
+        cr = (buf == _CR).nonzero()[0]
+        if np.count_nonzero(buf[1:][cr] != _LF):
+            return None
+        controls += cr.size
+    if (b"\x7f" in raw or np.count_nonzero(buf < 32) != controls
+            or np.count_nonzero(opening == _SPACE)
+            or (tab and np.count_nonzero(opening == _TAB))):
         return None
-    # The byte-sized arrays are as large as the file: each goes once used.
-    letters = classes == _LETTER
-    inside = classes != _SEPARATOR
-    del classes
-    bounds = np.flatnonzero(inside[1:] != inside[:-1])
+    inside = buf > 32
+    bounds = (inside[1:] != inside[:-1]).nonzero()[0]
     del inside
+    # bounds[2i] is the byte before token i.  No line opens with a space or
+    # a tab, so a token opens its line exactly when that byte is an LF.
+    heads = (buf[bounds[::2]] == _LF).nonzero()[0]
     bounds += 1
     starts, ends = bounds[::2], bounds[1::2]
-    # A token is all digits when none of its bytes is a letter.
-    digits = ~np.logical_or.reduceat(letters, starts) if starts.size else letters[:0]
-    del letters
-    # The tokens of line i, between LFs i and i + 1, are cut[i] .. cut[i + 1] - 1.
-    cut = starts.searchsorted(np.flatnonzero(buf == ord("\n")))
-    counts = cut[1:] - cut[:-1]
-    nonblank = counts > 0
-    return buf, starts, ends, digits, cut[:-1][nonblank], counts[nonblank]
+    counts = np.concatenate((heads[1:], (starts.size,))) - heads
+    return buf, starts, ends, heads, counts
 
 
-def _numbers(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-             digits: np.ndarray) -> Optional[np.ndarray]:
-    """The int64 values of the tokens, or None unless each is 1 to 18 digits."""
+def _numbers(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> Optional[np.ndarray]:
+    """The int64 values of the tokens, or None unless each is 1 to 18 ASCII digits."""
     width = lengths.max(initial=0)
-    if width > _MAX_DIGITS or not digits.all():
+    if width > _MAX_DIGITS:
         return None
-    values = np.zeros(starts.size, dtype=np.int64)
+    # A byte that is not a digit is more than 9 once "0" is taken off, so
+    # the largest byte taken tells whether every token is all digits.
     digit = buf - np.uint8(ord("0"))
-    position = starts.copy()
-    for j in range(width):  # the j-th digit of every token that has one
+    worst = digit[starts]  # every token has a first digit
+    values = worst.astype(np.int64)
+    for j in range(1, width):  # the j-th digit of every token that has one
         more = lengths > j
+        d = digit[j:].take(starts, mode="clip")
+        np.maximum(worst, d, out=worst, where=more)
         np.multiply(values, 10, out=values, where=more)
-        np.add(values, digit.take(position, mode="clip"), out=values, where=more)
-        position += 1
-    return values
+        np.add(values, d, out=values, where=more)
+    return None if worst.max(initial=0) > 9 else values
 
 
 def _sorted_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -220,45 +230,46 @@ def _sorted_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # The row fill packs at most this many bytes at a time, or one row if wider.
-_FILL_BYTES = 1 << 20
+# It sums them as float64, so a chunk's temporary is at most 1 MiB.
+_FILL_BYTES = 1 << 17
+_BIT_VALUES = 2.0 ** np.arange(8)  # bit i of a byte, as the float bincount sums
 
 
 def _bulk_rows(n: int, keys: np.ndarray) -> list[int]:
-    """The bit rows of the graph on ``n`` vertices whose sorted directed
-    edges are ``keys = u * n + v``.
+    """The bit rows of the graph on ``n`` vertices whose sorted, distinct
+    directed edges are ``keys = u * n + v``.
 
     Each row with an edge takes the bytes up to its last neighbour, laid
     end to end with the rows around it in chunks of at most ``_FILL_BYTES``
-    bytes, so the fill holds no more than the rows themselves: never an
-    n x n or a rows x n temporary.
+    bytes, so the fill holds a few times one chunk besides the rows: never
+    an n x n or a rows x n temporary.
     """
     rows = [0] * n
     if not keys.size:
         return rows
     src, dst = np.divmod(keys, n)
-    starts = np.flatnonzero(_first_of_runs(src))  # each row's first key
-    stops = np.append(starts[1:], keys.size)
-    owners = src[starts].tolist()
+    # Row r has the keys firsts[r] .. firsts[r + 1] - 1.
+    firsts = np.concatenate((_first_of_runs(src).nonzero()[0], (keys.size,)))
+    owners = src[firsts[:-1]].tolist()
     del src
-    widths = dst[stops - 1] // 8 + 1  # the bytes up to each row's last neighbour
-    ends = np.cumsum(widths)
-    offsets = ends - widths
-    del widths
-    at = np.repeat(offsets, stops - starts)  # the byte of each key
-    at += dst >> 3
-    bits = np.left_shift(np.uint8(1), (dst & 7).astype(np.uint8))
+    at = dst >> 3  # the byte of each key within its row
+    # Row r takes bytes cuts[r] .. cuts[r + 1] - 1: up to its last neighbour.
+    cuts = np.concatenate(((0,), (at[firsts[1:] - 1] + 1).cumsum()))
+    at += cuts[:-1].repeat(firsts[1:] - firsts[:-1])
+    bits = _BIT_VALUES[dst & 7]
     del dst
+    cuts = cuts.tolist()
     a = 0
     while a < len(owners):
-        base = int(offsets[a])
-        b = max(a + 1, int(ends.searchsorted(base + _FILL_BYTES, side="right")))
-        span = slice(starts[a], stops[b - 1])
-        chunk = np.zeros(int(ends[b - 1]) - base, dtype=np.uint8)
-        np.bitwise_or.at(chunk, at[span] - base, bits[span])
-        data = chunk.tobytes()
-        for v, lo, hi in zip(owners[a:b], (offsets[a:b] - base).tolist(),
-                             (ends[a:b] - base).tolist()):
-            rows[v] = int.from_bytes(data[lo:hi], "little")
+        base = cuts[a]
+        b = max(a + 1, bisect.bisect_right(cuts, base + _FILL_BYTES) - 1)
+        span = slice(firsts[a], firsts[b])
+        at[span] -= base
+        # Each (byte, bit) pair occurs once, so the sum of a byte's bits is their OR.
+        chunk = np.bincount(at[span], weights=bits[span], minlength=cuts[b] - base)
+        data = chunk.astype(np.uint8).tobytes()
+        for v, lo, hi in zip(owners[a:b], cuts[a:b], cuts[a + 1:b + 1]):
+            rows[v] = int.from_bytes(data[lo - base:hi - base], "little")
         a = b
     return rows
 
@@ -269,29 +280,32 @@ def _dimacs_edges(text: str) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
     scanned = _tokens(text)
     if scanned is None:
         return None
-    buf, starts, ends, digits, heads, counts = scanned
-    kinds = np.where(ends[heads] - starts[heads] == 1, buf[starts[heads]], 0)
-    is_header, is_edge = kinds == ord("p"), kinds == ord("e")
-    header = np.flatnonzero(is_header)
+    buf, starts, ends, heads, counts = scanned
+    line_starts = starts[heads]
+    kinds = buf[line_starts]
+    header = (kinds == ord("p")).nonzero()[0]
+    is_edge = kinds == ord("e")
     edges = heads[is_edge]
-    if (not (is_header | is_edge | (kinds == ord("c"))).all() or header.size != 1
-            or counts[header[0]] != 4 or (counts[is_edge] != 3).any()):
+    # Every line is one "c", "p" or "e" token and what follows it.
+    if (header.size != 1 or np.count_nonzero(ends[heads] - line_starts != 1)
+            or edges.size + 1 + np.count_nonzero(kinds == ord("c")) != kinds.size
+            or counts[header[0]] != 4 or np.count_nonzero(counts[is_edge] != 3)):
         return None
     h = heads[header[0]]
     if (edges.size and edges[0] < h) or buf[starts[h + 1]:ends[h + 1]].tobytes() != b"edge":
         return None
     picked = np.concatenate(([h + 2, h + 3], edges + 1, edges + 2))
-    first, lengths, digits = starts[picked], ends[picked], digits[picked]
+    first, lengths = starts[picked], ends[picked]
     lengths -= first
     del scanned, starts, ends, picked  # the token arrays are larger than the picked ones
-    values = _numbers(buf, first, lengths, digits)
+    values = _numbers(buf, first, lengths)
     if values is None:
         return None
     n, m = int(values[0]), edges.size
     endpoints = values[2:]
     endpoints -= 1
-    if (n >= _MAX_BULK_N or values[1] != m
-            or (m and (endpoints.min() < 0 or endpoints.max() >= n))):
+    # An endpoint below 1 becomes a negative int64, which as unsigned is past n.
+    if n >= _MAX_BULK_N or values[1] != m or np.count_nonzero(endpoints.view(np.uint64) >= n):
         return None
     return n, endpoints[:m], endpoints[m:]
 
@@ -303,7 +317,8 @@ def _dimacs_bulk(text: str) -> Optional[tuple[Graph, tuple[int, ...]]]:
         return None
     n, u, v = edges
     keys = _sorted_keys(n, u, v)
-    if not _first_of_runs(keys).all():  # a self-loop, or a repeated or reversed edge
+    # A self-loop, or a repeated or reversed edge, repeats a key.
+    if np.count_nonzero(_first_of_runs(keys)) != keys.size:
         return None
     try:
         rows = _bulk_rows(n, keys)
@@ -318,16 +333,28 @@ def _edgelist_edges(text: str) -> Optional[tuple[np.ndarray, np.ndarray, np.ndar
     scanned = _tokens(text)
     if scanned is None:
         return None
-    buf, starts, ends, digits, heads, counts = scanned
-    numbers = _numbers(buf, starts, ends - starts, digits)
-    if numbers is None or (counts > 2).any():
+    buf, starts, ends, heads, counts = scanned
+    numbers = _numbers(buf, starts, ends - starts)
+    if numbers is None or np.count_nonzero(counts > 2):
         return None
     pairs = heads[counts == 2]
-    if (numbers[pairs] == numbers[pairs + 1]).any():
+    u, v = numbers[pairs], numbers[pairs + 1]
+    del scanned, buf, starts, ends, heads, counts, pairs
+    if np.count_nonzero(u == v):
         return None
+    top = numbers.max(initial=-1)
+    if top < numbers.size:
+        # A table over 0..top costs no more than the tokens: its set entries
+        # are the labels, and its running count ranks them.
+        present = np.zeros(top + 1, dtype=bool)
+        present[numbers] = True
+        dense = present.cumsum()
+        dense -= 1
+        return present.nonzero()[0], dense[u], dense[v]
+    # Labels up to 10^18 - 1 are ranked by a sort.
     labels = np.sort(numbers)
     labels = labels[_first_of_runs(labels)]
-    return labels, labels.searchsorted(numbers[pairs]), labels.searchsorted(numbers[pairs + 1])
+    return labels, labels.searchsorted(u), labels.searchsorted(v)
 
 
 def _edgelist_bulk(text: str) -> Optional[tuple[Graph, tuple[int, ...]]]:
@@ -336,8 +363,11 @@ def _edgelist_bulk(text: str) -> Optional[tuple[Graph, tuple[int, ...]]]:
     if edges is None:
         return None
     labels, u, v = edges
-    # A repeated edge sets the same bits again: duplicates collapse.
-    rows = _bulk_rows(labels.size, _sorted_keys(labels.size, u, v))
+    keys = _sorted_keys(labels.size, u, v)
+    del edges, u, v  # the keys hold the edges now
+    # A repeated edge collapses to its first key, so the row fill sees each bit once.
+    keys = keys[_first_of_runs(keys)]
+    rows = _bulk_rows(labels.size, keys)
     return Graph._unchecked(rows), tuple(labels.tolist())
 
 
@@ -476,10 +506,13 @@ def _edge_lines(g: Graph, labels: Mapping[int, str] | Sequence[str], lead: str) 
     lexicographic order, from labels the caller rendered once."""
     lines: list[str] = []
     for u, row in enumerate(g.adjacency):
-        upper = row >> (u + 1)
-        if upper:
+        rest = row >> (u + 1)
+        if rest:
             prefix = f"{lead}{labels[u]} "
-            lines += [prefix + labels[u + 1 + v] for v in iter_bits(upper)]
+            while rest:  # the set bits in ascending order, walked inline
+                low = rest & -rest
+                lines.append(prefix + labels[u + low.bit_length()])
+                rest ^= low
     return lines
 
 

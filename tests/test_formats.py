@@ -246,7 +246,7 @@ def _outcome(parse, text):
 
 
 # Each joins the tokens of one line; "\t" and " \t " keep the line regular.
-_SEPARATORS = ("\t", " \t ", "\r\n", "\r", "\v", "\f", "\x85", "\x1c")
+_SEPARATORS = ("\t", " \t ", "\r\n", "\r", "\v", "\f", "\x85", "\x1c", "\x7f", "\x00")
 # Each rewrites one token t of one line; a sign, an underscore, a non-ASCII
 # digit or more than 18 digits make the line irregular.
 _TOKEN_EDITS = (
@@ -283,6 +283,10 @@ def _mutants(text, n, rng):
     yield at(i, lines[i], "", f"{comment} note", lines[i])  # a repeated line
     yield at(i, lines[i], " ".join(fields[:-2] + fields[-1:-3:-1]))  # reversed
     yield at(i, lines[i] + " # trailing # comment")
+    # A line that opens with a space or a tab leaves the file to the line loop.
+    yield at(i, " " + lines[i])
+    yield at(i, "\t" + lines[i])
+    yield at(i, lines[i], f"{comment} a DEL \x7f byte")
     j = rng.randrange(len(fields))
     for edit in _TOKEN_EDITS:
         if fields[j].isdigit():
@@ -294,6 +298,7 @@ def _mutants(text, n, rng):
         yield at(0, f"p edges {n_} {m}")
         if len(lines) > 1:
             yield "\n".join(lines[1:2] + lines[:1] + lines[2:]) + "\n"
+            yield at(len(lines) - 1, lines[-1] + "x")  # a letter in an endpoint
 
 
 def test_bulk_pass_agrees_with_the_line_loop():
@@ -308,6 +313,17 @@ def test_bulk_pass_agrees_with_the_line_loop():
                 continue
             for mutant in _mutants(text, g.n, rng):
                 assert _outcome(parse, mutant) == _outcome(lines, mutant), mutant
+
+
+def test_edgelist_labels_take_the_table_or_the_sort():
+    # Labels below the token count are ranked through a presence table, and
+    # labels as far apart as 10^17 + 3v through a sort; both give the line
+    # loop's (graph, ids).
+    for g in _roundtrip_corpus():
+        for ids, table in ((range(g.n), True), ([10**17 + 3 * v for v in range(g.n)], False)):
+            text = ab.format_edgelist(g, ids)
+            assert not g.n or (max(ids) < len(text.split())) == table
+            assert formats._edgelist_bulk(text) == formats._edgelist_lines(text)
 
 
 def test_writers_match_an_edge_by_edge_rendering():
@@ -376,6 +392,12 @@ def test_file_io_memory_follows_the_file_not_n_squared(monkeypatch):
         (g, _), peak = _peak_bytes(lambda: ab.parse_dimacs(text))
         assert g == star
         assert peak < 32 * len(text)
+    # An edge list whose largest label is one below its token count still
+    # takes the label table: a star from 0 to the odd labels below 2n.
+    text = "".join(f"0 {2 * v + 1}\n" for v in range(n))
+    (g, ids), peak = _peak_bytes(lambda: ab.parse_edgelist(text))
+    assert ids == (0, *range(1, 2 * n, 2)) and (g.n, g.m, g.degree(0)) == (n + 1, n, n)
+    assert peak < 32 * len(text)
     # Writing a path or an edgeless graph holds some bytes per byte written
     # (a line is a str, a label a str), not n x n bits.
     path = ab.path_graph(n)
