@@ -310,6 +310,24 @@ def test_gen_gnp_to_file(tmp_path, capsys):
     assert rep["result"]["m"] == written.m
 
 
+def test_gen_files_survive_a_read_write_round_trip(tmp_path, capsys):
+    # Hosts this large take the writers' block pass and the parsers' bulk pass.
+    for name in ("big.col", "big.edges"):
+        path, again = tmp_path / name, tmp_path / ("again-" + name)
+        code, _, err = run_cli(capsys, "gen", "gnp", "2000", "0.05", "--seed", "2",
+                               "--out", str(path))
+        assert code == 0 and err == ""
+        g, ids = ab.read_graph(str(path))
+        ab.write_graph(g, str(again), external_ids=ids if name.endswith(".edges") else None)
+        assert g.m > 90_000 and again.read_bytes() == path.read_bytes()
+    # A file written by --out holds the bytes printed to stdout.
+    target = tmp_path / "g.col"
+    code, _, _ = run_cli(capsys, "gen", "gnp", "300", "0.1", "--seed", "1", "--out", str(target))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "gen", "gnp", "300", "0.1", "--seed", "1", "--format", "dimacs")
+    assert code == 0 and target.read_bytes() == out.encode("ascii")
+
+
 def test_gen_gnp_requires_seed(capsys):
     with pytest.raises(SystemExit) as e:
         main(["gen", "gnp", "10", "0.5"])

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import alphabound as ab
@@ -151,6 +152,20 @@ def test_external_id_validation():
         ab.format_edgelist(g, [-1, 2, 3])
     with pytest.raises(ab.ParameterError):
         ab.write_graph(g, "unused.col", "dimacs", external_ids=[1, 2, 3])
+
+
+def test_external_ids_are_written_as_the_ints_they_stand_for():
+    # A float or a str would be written as a token the parser refuses.
+    g = ab.path_graph(3)
+    for ids in ([0.5, 1.5, 2.5], [1, 2, 3.0], ["1", "2", "3"]):
+        with pytest.raises(ab.ParameterError, match="integers"):
+            ab.format_edgelist(g, ids)
+    # A bool or a numpy int is written as a plain int, and reads back.
+    for ids, expected in (([False, True, 2], (0, 1, 2)),
+                          (np.array([5, 7, 2**40]), (5, 7, 2**40))):
+        text = ab.format_edgelist(g, ids)
+        assert text == "".join(f"{expected[u]} {expected[v]}\n" for u, v in g.edges())
+        assert ab.parse_edgelist(text) == (g, expected)
 
 
 def test_dimacs_renumbers_from_one():
@@ -326,15 +341,39 @@ def test_edgelist_labels_take_the_table_or_the_sort():
             assert formats._edgelist_bulk(text) == formats._edgelist_lines(text)
 
 
-def test_writers_match_an_edge_by_edge_rendering():
-    for g in _roundtrip_corpus():
-        sparse = [3 * v + v * v for v in range(g.n)]
+def _labellings(g):
+    """Edge-list labels of g: dense, sparse, up to the widest the block pass
+    renders (18 digits), and past it, where the walk takes every graph."""
+    yield range(g.n)
+    yield [3 * v + v * v for v in range(g.n)]
+    yield [10**17 + 3 * v for v in range(g.n)]
+    yield range(10**18 - g.n, 10**18)
+    yield [10**18 + v for v in range(g.n)]
+    yield [2**64 + v for v in range(g.n)]
+
+
+def test_writers_match_an_edge_by_edge_rendering(monkeypatch):
+    corpus = list(_roundtrip_corpus())
+    expected = []
+    for g in corpus:
         dimacs = [f"p edge {g.n} {g.m}"] + [f"e {u + 1} {v + 1}" for u, v in g.edges()]
-        assert ab.format_dimacs(g) == "\n".join(dimacs) + "\n"
-        for ids in (range(g.n), sparse):
+        expected.append("\n".join(dimacs) + "\n")
+        for ids in _labellings(g):
             lines = [f"{ids[u]} {ids[v]}" for u, v in g.edges()]
             lines += [str(ids[v]) for v in g.vertices() if g.degree(v) == 0]
-            assert ab.format_edgelist(g, ids) == "\n".join(lines) + ("\n" if lines else "")
+            expected.append("\n".join(lines) + ("\n" if lines else ""))
+    # Both write paths, whatever the edge count picks: the walk, and the
+    # block pass with its chunks of _FILL_BYTES bytes as in the row fill (at
+    # 1 byte every row is its own chunk, at 5 a chunk holds whole rows).
+    for block_edges, fill in ((1 << 62, formats._FILL_BYTES), (0, formats._FILL_BYTES),
+                              (0, 1), (0, 5)):
+        monkeypatch.setattr(formats, "_BLOCK_EDGES", block_edges)
+        monkeypatch.setattr(formats, "_FILL_BYTES", fill)
+        written = []
+        for g in corpus:
+            written.append(ab.format_dimacs(g))
+            written += [ab.format_edgelist(g, ids) for ids in _labellings(g)]
+        assert written == expected, (block_edges, fill)
 
 
 def test_writers_files_take_the_bulk_path(monkeypatch):
@@ -399,8 +438,15 @@ def test_file_io_memory_follows_the_file_not_n_squared(monkeypatch):
     assert ids == (0, *range(1, 2 * n, 2)) and (g.n, g.m, g.degree(0)) == (n + 1, n, n)
     assert peak < 32 * len(text)
     # Writing a path or an edgeless graph holds some bytes per byte written
-    # (a line is a str, a label a str), not n x n bits.
+    # (a line is a str, a label a str), not n x n bits: by the walk, and by
+    # the block pass with the whole graph as one chunk.
     path = ab.path_graph(n)
-    for g, fmt in ((path, "dimacs"), (path, "edgelist"), (ab.empty_graph(10 * n), "dimacs")):
-        text, peak = _peak_bytes(lambda: ab.format_graph(g, fmt))
-        assert peak < 32 * len(text) + 10**6, (fmt, g.n, g.m)
+    for block_edges in (formats._BLOCK_EDGES, 0):
+        monkeypatch.setattr(formats, "_BLOCK_EDGES", block_edges)
+        for g, fmt in ((path, "dimacs"), (path, "edgelist"), (ab.empty_graph(10 * n), "dimacs")):
+            text, peak = _peak_bytes(lambda: ab.format_graph(g, fmt))
+            assert peak < 32 * len(text) + 10**6, (fmt, g.n, g.m, block_edges)
+        # One 301-digit label among short ones pads no line to its width.
+        ids = [*range(n - 1), 10**300]
+        text, peak = _peak_bytes(lambda: ab.format_edgelist(path, ids))
+        assert peak < 32 * len(text) + 10**6, block_edges

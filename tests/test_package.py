@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import alphabound as ab
 
@@ -38,3 +40,14 @@ def test_decide_takes_no_bounds_report():
     assert list(inspect.signature(ab.decide).parameters) == [
         "g", "k", "skip_bound_steps", "node_budget",
     ]
+
+
+def test_src_holds_no_assert_statement():
+    # python -O strips assert statements; checks that carry weight raise
+    # InternalError instead.
+    src = Path(__file__).resolve().parents[1] / "src" / "alphabound"
+    found = [f"{path.name}:{lineno}: {line.strip()}"
+             for path in sorted(src.rglob("*.py"))
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if re.match(r"\s*assert\b", line)]
+    assert found == []
